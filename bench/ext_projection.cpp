@@ -10,7 +10,7 @@
 // worst case for projection), QS1 ~5.4 % and QT ~5.7 % (the realistic
 // filter-then-extract regime, where projection should be nearly free).
 //
-// Each row runs the same facade pipeline (chunked backend, derived paths)
+// Each row runs the same one-shard facade pipeline (derived paths)
 // twice over the same inflated stream - projection off, then on with a
 // counting sink - and reports:
 //
@@ -64,19 +64,19 @@ struct measured {
   std::uint64_t text_bytes = 0; // columnar text arena emitted
 };
 
-// One timed facade run (chunked backend - the single-stream engine the
-// projection hook rides on). Build is outside the clock: ensure_exec is
-// eager, so run() measures steady-state filtering only, matching the
-// other wall-rate benches.
+// One timed one-shard facade run. Build is outside the clock (build()
+// stands the lanes up eagerly), so run() measures steady-state filtering
+// only, matching the other wall-rate benches.
 measured timed_run(const query::query& q, const std::string& stream,
                    bool project) {
   measured out;
   auto builder = pipeline::make();
-  // 1 MB bursts: the throughput posture (the 4 KB default models a DMA
-  // burst; here it would re-pass ~every chunk-straddling record and
-  // dominate both configurations with framing overhead).
-  builder.from_query(q).backend(backend_kind::chunked).input(stream)
-      .dma_burst_bytes(1u << 20);
+  // 1 MB bursts into a 1 MB lane FIFO: the throughput posture (the 4 KB
+  // default models a DMA burst; here it would re-pass ~every
+  // chunk-straddling record and dominate both configurations with framing
+  // overhead).
+  builder.from_query(q).input(stream).dma_burst_bytes(1u << 20)
+      .lane_fifo_bytes(1u << 20);
   if (project) {
     builder.project().on_projection(
         [&out](std::size_t, const project::column_batch& batch) {

@@ -4,16 +4,19 @@
 // 10 GbE line rate.
 //
 // Every configuration stands up through the jrf::pipeline facade - the
-// same entry point the examples and any embedding application use. On top
-// of the cycle-quantized model this bench measures host wall-clock
-// throughput of the two software paths (scalar push() vs the chunked
-// filter-engine scan) and of the sharded multi-stream system, and can emit
-// the numbers as machine-readable JSON:
+// same entry point the examples and any embedding application use - except
+// the scalar row, which times the byte-serial reference engine directly.
+// The modeled rows are the Figure-4 system: shards(L) fed the whole stream
+// through the record-routing offer(). On top of the cycle-quantized model
+// this bench measures host wall-clock throughput of the byte-serial
+// reference vs a one-shard pipeline (the chunked scan) and of the sharded
+// multi-stream system, and can emit the numbers as machine-readable JSON:
 //
 //   bench_system_throughput [--json PATH]
 //
 // scripts/bench.sh passes --json BENCH_system_throughput.json; the
 // committed baseline tracks the chunked-vs-scalar speedup across PRs.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -24,6 +27,7 @@
 
 #include "api/pipeline.hpp"
 #include "bench_common.hpp"
+#include "core/filter_engine.hpp"
 #include "core/simd.hpp"
 #include "data/smartcity.hpp"
 #include "data/stream.hpp"
@@ -44,7 +48,17 @@ struct wall_result {
   jrf::run_result result;
 };
 
-// One timed facade run: `configure` finishes the builder (backend, lanes,
+template <typename T>
+T checked(jrf::expected<T> value, const char* what) {
+  if (!value) {
+    std::fprintf(stderr, "pipeline %s failed: %s\n", what,
+                 value.error().message.c_str());
+    std::exit(1);
+  }
+  return std::move(*value);
+}
+
+// One timed facade run: `configure` finishes the builder (shards, workers,
 // inputs), then run() is timed wall-clock.
 template <typename Configure>
 wall_result timed_run(const jrf::core::expr_ptr& rf, std::uint64_t bytes,
@@ -52,24 +66,26 @@ wall_result timed_run(const jrf::core::expr_ptr& rf, std::uint64_t bytes,
   auto builder = jrf::pipeline::make();
   builder.raw_filter(rf);
   configure(builder);
-  auto built = builder.build();
-  if (!built) {
-    std::fprintf(stderr, "pipeline build failed: %s\n",
-                 built.error().message.c_str());
-    std::exit(1);
-  }
+  jrf::pipeline built = checked(builder.build(), "build");
   const auto start = std::chrono::steady_clock::now();
-  auto run = built->run();
   wall_result out;
+  out.result = checked(built.run(), "run");
   out.seconds = seconds_since(start);
-  if (!run) {
-    std::fprintf(stderr, "pipeline run failed: %s\n",
-                 run.error().message.c_str());
-    std::exit(1);
-  }
-  out.result = std::move(*run);
   out.mbytes_per_second = static_cast<double>(bytes) / out.seconds / 1e6;
   return out;
+}
+
+// The Figure-4 system: one stream, whole records dealt round-robin to
+// `lanes` replicated pipelines (one shard each) by the shard-less offer().
+jrf::run_result figure4(const jrf::core::expr_ptr& rf, std::string_view stream,
+                        int lanes) {
+  jrf::pipeline built = checked(jrf::pipeline::make()
+                                    .raw_filter(rf)
+                                    .shards(static_cast<std::size_t>(lanes))
+                                    .build(),
+                                "build");
+  checked(built.offer(stream), "offer");
+  return checked(built.finish(), "finish");
 }
 
 }  // namespace
@@ -103,11 +119,7 @@ int main(int argc, char** argv) {
   };
   std::vector<modeled_row> modeled;
   for (const int lanes : {1, 2, 4, 7, 8}) {
-    const wall_result r =
-        timed_run(rf, stream.size(), [&](pipeline_builder& b) {
-          b.backend(backend_kind::system).lanes(lanes).input(stream);
-        });
-    const auto& report = r.result.report;
+    const system::throughput_report report = figure4(rf, stream, lanes).report;
     modeled.push_back({lanes, report});
     std::printf("%-6d | %12.3f | %12.2f | %9.2f%% | %s\n", lanes,
                 report.gbytes_per_second, report.theoretical_gbps,
@@ -123,31 +135,29 @@ int main(int argc, char** argv) {
               "descriptor setup and lane imbalance for the same gap.\n");
 
   // -------------------------------------------------------------------
-  // Host wall clock: the software hot path, scalar push() vs chunked scan.
+  // Host wall clock: the byte-serial reference (raw_filter::push behind
+  // the scalar engine, timed directly) vs a one-shard pipeline.
   // -------------------------------------------------------------------
-  bench::heading("Host wall clock (software hot path, 7 lanes)");
-  const wall_result scalar =
-      timed_run(rf, stream.size(), [&](pipeline_builder& b) {
-        b.backend(backend_kind::system)
-            .engine(core::engine_kind::scalar)
-            .input(stream);
-      });
+  bench::heading("Host wall clock (software hot path, one lane)");
+  const auto scalar_engine =
+      core::make_filter_engine(core::engine_kind::scalar, rf);
+  const auto scalar_start = std::chrono::steady_clock::now();
+  const std::vector<bool> scalar_decisions =
+      scalar_engine->filter_stream(stream);
+  const double scalar_seconds = seconds_since(scalar_start);
+  const double scalar_mbps =
+      static_cast<double>(stream.size()) / scalar_seconds / 1e6;
   const wall_result chunked =
-      timed_run(rf, stream.size(), [&](pipeline_builder& b) {
-        b.backend(backend_kind::system)
-            .engine(core::engine_kind::chunked)
-            .input(stream);
-      });
+      timed_run(rf, stream.size(),
+                [&](pipeline_builder& b) { b.input(stream); });
   const double speedup =
-      chunked.seconds > 0 ? scalar.seconds / chunked.seconds : 0.0;
-  std::printf("scalar push()   : %8.2f MB/s (%.2fs)\n",
-              scalar.mbytes_per_second, scalar.seconds);
+      chunked.seconds > 0 ? scalar_seconds / chunked.seconds : 0.0;
+  std::printf("scalar push()   : %8.2f MB/s (%.2fs)\n", scalar_mbps,
+              scalar_seconds);
   std::printf("chunked scan    : %8.2f MB/s (%.2fs)\n",
               chunked.mbytes_per_second, chunked.seconds);
   std::printf("speedup         : %8.2fx (decisions identical: %s)\n", speedup,
-              scalar.result.report.accepted == chunked.result.report.accepted
-                  ? "yes"
-                  : "NO!");
+              scalar_decisions == chunked.result.decisions ? "yes" : "NO!");
 
   // External baseline: a bare memchr record-count sweep over the same
   // buffer - the cheapest conceivable structural pass (libc's vectorised
@@ -183,7 +193,7 @@ int main(int argc, char** argv) {
   // this host can execute. Decisions are identical per construction (and
   // cross-checked here); the rows record what each tier buys.
   // -------------------------------------------------------------------
-  bench::heading("SIMD dispatch tiers (chunked scan, 7 lanes)");
+  bench::heading("SIMD dispatch tiers (chunked scan, one lane)");
   std::printf("detected: %s, active: %s (JRF_FORCE_SCALAR/JRF_SIMD_LEVEL "
               "pin the tier)\n",
               core::simd::to_string(core::simd::detected_level()),
@@ -197,10 +207,7 @@ int main(int argc, char** argv) {
   for (const core::simd::simd_level level : core::simd::available_levels()) {
     const wall_result r =
         timed_run(rf, stream.size(), [&](pipeline_builder& b) {
-          b.backend(backend_kind::system)
-              .engine(core::engine_kind::chunked)
-              .simd(level)
-              .input(stream);
+          b.simd(level).input(stream);
         });
     simd_rows.push_back({level, r.seconds, r.mbytes_per_second});
     std::printf("%-7s : %8.2f MB/s (%.2fs, %.2fx vs scalar tier; "
@@ -221,7 +228,6 @@ int main(int argc, char** argv) {
   for (const auto& s : shards) sharded_bytes += s.size();
   const wall_result sharded =
       timed_run(rf, sharded_bytes, [&](pipeline_builder& b) {
-        b.backend(backend_kind::sharded);
         for (const auto& s : shards) b.input(s);
       });
   const double sharded_mbps = sharded.mbytes_per_second;
@@ -247,7 +253,7 @@ int main(int argc, char** argv) {
                                     std::size_t{4}, std::size_t{8}}) {
     const wall_result r =
         timed_run(rf, sharded_bytes, [&](pipeline_builder& b) {
-          b.backend(backend_kind::sharded).worker_threads(workers);
+          b.worker_threads(workers);
           for (const auto& s : shards) b.input(s);
         });
     threaded.push_back({workers, r.seconds, r.mbytes_per_second});
@@ -260,11 +266,10 @@ int main(int argc, char** argv) {
                     : "NO!");
   }
 
-  const wall_result detail =
-      timed_run(rf, stream.size(), [&](pipeline_builder& b) {
-        b.backend(backend_kind::system).lanes(7).input(stream);
-      });
-  const auto& report = detail.result.report;
+  const system::throughput_report& report =
+      std::find_if(modeled.begin(), modeled.end(), [](const modeled_row& row) {
+        return row.lanes == 7;
+      })->report;
   std::printf("\n7-lane detail: %s\n", report.to_string().c_str());
   std::printf("records forwarded to CPU: %llu of %llu (%.1f%% filtered out)\n",
               static_cast<unsigned long long>(report.accepted),
@@ -298,7 +303,7 @@ int main(int argc, char** argv) {
     std::fprintf(f,
                  "  \"wall\": {\"scalar_mbps\": %.2f, \"chunked_mbps\": %.2f, "
                  "\"speedup\": %.2f, \"memchr_baseline_mbps\": %.2f},\n",
-                 scalar.mbytes_per_second, chunked.mbytes_per_second, speedup,
+                 scalar_mbps, chunked.mbytes_per_second, speedup,
                  memchr_mbps);
     std::fprintf(f,
                  "  \"simd\": {\"detected\": \"%s\", \"active\": \"%s\", "

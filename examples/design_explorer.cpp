@@ -4,6 +4,7 @@
 // its operating point - e.g. "cheapest configuration under FPR 5%" - and
 // stand the chosen filter up through the jrf::pipeline facade.
 #include <cstdio>
+#include <vector>
 
 #include "api/pipeline.hpp"
 #include "data/taxi.hpp"
@@ -48,27 +49,35 @@ int main() {
   std::printf("  -> %d LUTs, FPR %.3f, forwards %.1f%% of the stream\n",
               chosen->luts, chosen->fpr, 100.0 * chosen->accept_rate);
 
-  // Deploy the chosen operating point: compile its choice vector and run
-  // the calibration stream through the 7-lane system via the facade.
+  // Deploy the chosen operating point: compile its choice vector and deal
+  // the calibration stream record by record to the 7-lane Figure-4 system
+  // via the facade's shard-less offer().
   auto deployed = pipeline::make()
                       .raw_filter(query::compile(q, chosen->choices))
-                      .backend(backend_kind::system)
-                      .lanes(7)
-                      .input(calibration)
+                      .shards(7)
                       .build();
   if (!deployed) {
     std::fprintf(stderr, "deploy failed: %s\n",
                  deployed.error().message.c_str());
     return 1;
   }
-  auto run = deployed->run();
+  if (auto offered = deployed->offer(calibration); !offered) {
+    std::fprintf(stderr, "deploy offer failed: %s\n",
+                 offered.error().message.c_str());
+    return 1;
+  }
+  auto run = deployed->finish();
   if (!run) {
     std::fprintf(stderr, "deploy run failed: %s\n",
                  run.error().message.c_str());
     return 1;
   }
+  std::vector<bool> forwarded;  // record k went to lane k % 7, index k / 7
+  for (std::size_t k = 0; k < run->records(); ++k)
+    forwarded.push_back(run->shard_decisions[k % 7][k / 7]);
   const auto check =
-      query::verify_no_false_negatives(q, calibration, run->decisions);
+      query::verify_no_false_negatives(q, calibration, forwarded);
+  std::printf("%s\n", run->report.to_string().c_str());
   std::printf("deployed via jrf::pipeline: %llu of %llu records forwarded, "
               "%zu true matches, %zu dropped %s\n",
               static_cast<unsigned long long>(run->accepted()),

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "api/pipeline.hpp"
 #include "data/smartcity.hpp"
@@ -28,13 +29,8 @@ int main() {
   const std::string ingress = data::inflate(sensors.stream(2000), 8u << 20);
 
   // Deployment 1: the paper's Figure-4 system - one stream, whole records
-  // dealt round-robin to 7 replicated lanes.
-  auto gateway = pipeline::make()
-                     .from_query(q)
-                     .backend(backend_kind::system)
-                     .lanes(7)
-                     .input(ingress)
-                     .build();
+  // dealt round-robin to 7 replicated lanes by the shard-less offer().
+  auto gateway = pipeline::make().from_query(q).shards(7).build();
   if (!gateway) {
     std::fprintf(stderr, "build failed: %s\n", gateway.error().message.c_str());
     return 1;
@@ -43,7 +39,11 @@ int main() {
   std::printf("deployed RF   : %s\n\n",
               gateway->expression()->to_string().c_str());
 
-  auto run = gateway->run();
+  if (auto offered = gateway->offer(ingress); !offered) {
+    std::fprintf(stderr, "offer failed: %s\n", offered.error().message.c_str());
+    return 1;
+  }
+  auto run = gateway->finish();
   if (!run) {
     std::fprintf(stderr, "run failed: %s\n", run.error().message.c_str());
     return 1;
@@ -59,9 +59,12 @@ int main() {
                                  static_cast<double>(report.records)));
 
   // What the CPU-side parser would have concluded - the raw filter must
-  // never have dropped a true match.
-  const auto check =
-      query::verify_no_false_negatives(q, ingress, run->decisions);
+  // never have dropped a true match. Record k of the ingress went to lane
+  // k % 7 at index k / 7.
+  std::vector<bool> forwarded;
+  for (std::size_t k = 0; k < report.records; ++k)
+    forwarded.push_back(run->shard_decisions[k % 7][k / 7]);
+  const auto check = query::verify_no_false_negatives(q, ingress, forwarded);
   std::printf("check     : %zu true matches, %zu dropped by the RF %s\n",
               check.true_matches, check.false_negatives,
               check.ok() ? "(no false negatives)" : "(BUG!)");
@@ -75,7 +78,7 @@ int main() {
   // backpressure accounting.
   const auto feeds = data::shard_records(ingress, 7);
   auto service = pipeline::make();
-  service.from_query(q).backend(backend_kind::sharded).worker_threads(4);
+  service.from_query(q).worker_threads(4);
   for (std::size_t shard = 0; shard + 1 < feeds.size(); ++shard)
     service.input(feeds[shard]);
   service.source(std::make_unique<system::synthetic_rate_source>(

@@ -116,7 +116,6 @@ int main(int argc, char** argv) {
   options.echo_decisions = true;
   auto builder = pipeline::make();
   builder.from_query(query::riotbench::qs1())
-      .backend(backend_kind::sharded)
       .shards(cfg.shards)
       .worker_threads(cfg.workers);
   auto service = net::filter_service::open(std::move(builder), options);

@@ -22,11 +22,10 @@ int main() {
       R"({"e":[{"v":"12","u":"per","n":"humidity"}],"bt":3})" "\n";
 
   // One fluent flow: parse the Listing 2 JSONPath query, compile it to a
-  // raw filter, bind the stream, pick the paper-faithful scalar backend.
+  // raw filter, bind the stream.
   auto built = pipeline::make()
                    .jsonpath(R"($.e[?(@.n=="temperature" & @.v >= 0.7)"
                              R"( & @.v <= 35.1)])")
-                   .backend(backend_kind::scalar)
                    .input(stream)
                    .build();
   if (!built) {  // the facade never throws: errors come back as values

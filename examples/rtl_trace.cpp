@@ -2,8 +2,9 @@
 // paper's RTL schematic, run it cycle by cycle on the netlist simulator,
 // and dump a VCD waveform of the byte stream, match counter and accept
 // line - viewable with GTKWave. The same filter expression then runs
-// through the jrf::pipeline facade on the scalar backend (the software
-// path the RTL suite proves cycle-equivalent) as a decision cross-check.
+// through the jrf::pipeline facade as a decision cross-check (its
+// decisions are held byte-identical to the byte-serial path the RTL suite
+// proves cycle-equivalent).
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -49,12 +50,11 @@ int main() {
   std::printf("wrote %llu cycles to %s (open with GTKWave)\n",
               static_cast<unsigned long long>(time), path.c_str());
 
-  // Software cross-check through the facade: the scalar backend mirrors
-  // the byte-per-cycle hardware semantics, so its per-record decisions
-  // state what the traced circuit's accept line concludes per record.
+  // Software cross-check through the facade: its per-record decisions
+  // equal the byte-per-cycle semantics, so they state what the traced
+  // circuit's accept line concludes per record.
   auto built = pipeline::make()
                    .raw_filter(rf)
-                   .backend(backend_kind::scalar)
                    .input(stream)
                    .build();
   if (!built) {

@@ -25,6 +25,12 @@ scripts/check_docs.sh
 cmake -B build -S . -DJRF_WERROR=ON
 cmake --build build -j"$(nproc 2>/dev/null || echo 4)"
 
+# The benchmark harness compiles ../src through the facade: building it
+# here fails a facade API change that would break the benchmark. Same
+# build directory as perfbench/run.py, so the two share one build.
+cmake -S perfbench -B .bench_build/perfbench
+cmake --build .bench_build/perfbench -j"$(nproc 2>/dev/null || echo 4)"
+
 if [ "$FAST" -eq 1 ]; then
   ctest --test-dir build -L tier1 --no-tests=error --output-on-failure \
     -j"$(nproc 2>/dev/null || echo 4)"

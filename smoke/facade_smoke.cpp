@@ -11,7 +11,7 @@ int main() {
   using namespace jrf;
 
   // Two independent SenML feeds, filtered by the paper's Listing 2 query
-  // on the concurrent sharded backend.
+  // on two concurrently pumped shards.
   data::smartcity_generator sensors;
   const std::string feed_a = sensors.stream(200);
   const std::string feed_b = sensors.stream(200);
@@ -19,7 +19,6 @@ int main() {
   auto built =
       pipeline::make()
           .jsonpath(R"($.e[?(@.n=="temperature" & @.v >= 0.7 & @.v <= 35.1)])")
-          .backend(backend_kind::sharded)
           .worker_threads(2)
           .input(feed_a)
           .input(feed_b)

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <mutex>
 #include <optional>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 
@@ -45,31 +44,18 @@ std::unique_ptr<system::ingest_source> open_source(input_spec& in) {
   throw error("pipeline: invalid input binding");
 }
 
-system::system_options to_system_options(const pipeline_options& o, int lanes,
-                                         core::engine_kind engine) {
+system::system_options to_system_options(const pipeline_options& o) {
   system::system_options so;
-  so.lanes = lanes;
   so.clock_mhz = o.clock_mhz;
   so.dma_burst_bytes = o.dma_burst_bytes;
   so.dma_setup_cycles = o.dma_setup_cycles;
   so.lane_fifo_bytes = o.lane_fifo_bytes;
   so.worker_threads = o.worker_threads;
-  so.engine = engine;
   so.filter = o.filter;
   return so;
 }
 
 }  // namespace
-
-const char* to_string(backend_kind kind) {
-  switch (kind) {
-    case backend_kind::scalar: return "scalar";
-    case backend_kind::chunked: return "chunked";
-    case backend_kind::system: return "system";
-    case backend_kind::sharded: return "sharded";
-  }
-  return "?";
-}
 
 std::string run_result::to_string() const {
   std::string out = report.to_string();
@@ -88,14 +74,14 @@ std::string run_result::to_string() const {
 }
 
 // ---------------------------------------------------------------------------
-// pipeline::impl - the execution state behind the facade. The streaming
-// surface is the primitive; run() is a driver loop over it (plus the
-// concurrent_runner policy for the sharded backend).
+// pipeline::impl - the execution state behind the facade: one
+// sharded_filter_system plus per-shard decision staging. The streaming
+// surface is the primitive; run() drives the bound inputs through the
+// concurrent_runner policy.
 //
-// Locking. The facade no longer owns one global mutex: each stream carries
-// its own gate, so producers on different shards never serialize above the
-// per-lane locks of the sharded system. The lock order, for every path
-// that holds more than one lock, is
+// Locking. Each stream carries its own gate, so producers on different
+// shards never serialize above the per-lane locks of the sharded system.
+// The lock order, for every path that holds more than one lock, is
 //
 //   state_mutex  >  router_mutex  >  stream gate s  >  sink_mutex s
 //
@@ -155,7 +141,7 @@ struct pipeline::impl {
 
   enum class phase { idle, streaming, done };
   std::atomic<phase> state{phase::idle};
-  std::mutex state_mutex;  // guards phase transitions + execution bring-up
+  std::mutex state_mutex;  // guards phase transitions
 
   // One per stream: the gate serializes this stream's offers/pumps, and
   // the delivery half stages decisions (under the gate) so they can be
@@ -221,31 +207,17 @@ struct pipeline::impl {
   std::string router_carry;          // partial record, no boundary yet
   std::size_t router_next_shard = 0;
 
-  // Single-stream backends (scalar / chunked: one engine; system: lanes
-  // dealt whole records round-robin, filter_system semantics).
-  std::unique_ptr<core::filter_engine> engine;
-  std::vector<std::unique_ptr<core::filter_engine>> lanes;
-  std::vector<std::uint64_t> lane_bytes;
-  std::string pending;               // in-flight record (system dealing)
-  std::size_t accounted = 0;         // records dealt for lane accounting
-  std::vector<bool> dealt;           // system-backend decisions
-  std::vector<std::uint64_t> dealt_words;  // parallel bitmaps (multi only)
-  std::uint64_t dealt_count = 0;     // lifetime records dealt (lane cursor -
-                                     // `dealt` is consumed in multi mode)
-  std::uint64_t offered = 0;
-
-  // Sharded backend.
+  // The execution: one chunked lane per shard, stood up by build().
   std::unique_ptr<system::sharded_filter_system> sharded;
 
   // --- projection ---------------------------------------------------------
   // One extraction lane per stream, driven by the engines' accepted-record
-  // hook. The hook fires under the stream gate (chunked/system) or the
-  // lane mutex (sharded) - the same lock that orders that shard's
-  // decisions - so batches flush, and the sink fires, strictly BEFORE any
-  // flush_decisions can deliver the verdicts of the records they contain.
-  // collect() runs quiescent (run()/finish() exclusivity), so the final
-  // partial-batch flush needs no extra lock; the pool-join / gate
-  // hand-offs of the backends give the happens-before edges.
+  // hook. The hook fires under the lane mutex - the same lock that orders
+  // that shard's decisions - so batches flush, and the sink fires,
+  // strictly BEFORE any flush_decisions can deliver the verdicts of the
+  // records they contain. collect() runs quiescent (run()/finish()
+  // exclusivity), so the final partial-batch flush needs no extra lock;
+  // the pool-join / gate hand-offs give the happens-before edges.
   bool project_enabled = false;
   project::path_set paths;  // frozen at build(); runtime adds don't extend
   projection_sink psink;
@@ -294,78 +266,37 @@ struct pipeline::impl {
       ps.retained.push_back(std::move(batch));
   }
 
-  /// (Re)install the hook on the engine currently serving `shard` - at
-  /// bring-up and after every engine rebuild (swap_epoch / swap_shard
-  /// replace the engine, and clones start bare by design).
+  /// Install the hook on `shard`'s lane at bring-up; swap_shard carries
+  /// it over to every rebuilt engine.
   void attach_projection(std::size_t shard) {
-    auto hook = [this, shard](std::uint64_t ordinal,
-                              std::span<const unsigned char> record,
-                              const core::bitmap_pass& pass,
-                              std::size_t offset) {
-      project_record(shard, ordinal, record, pass, offset);
-    };
-    switch (opts.backend) {
-      case backend_kind::chunked:
-        engine->set_accepted_hook(std::move(hook));
-        break;
-      case backend_kind::system:
-        // Every chunk routes through lane 0's bitmap pipeline
-        // (drain_router), so its decision stream covers all records.
-        lanes.front()->set_accepted_hook(std::move(hook));
-        break;
-      case backend_kind::sharded:
-        sharded->set_accepted_hook(shard, std::move(hook));
-        break;
-      case backend_kind::scalar:
-        break;  // unreachable: build() rejected projection on scalar
-    }
+    sharded->set_accepted_hook(
+        shard, [this, shard](std::uint64_t ordinal,
+                             std::span<const unsigned char> record,
+                             const core::bitmap_pass& pass,
+                             std::size_t offset) {
+          project_record(shard, ordinal, record, pass, offset);
+        });
   }
 
   std::size_t stream_count() const {
-    if (opts.backend != backend_kind::sharded) return 1;
     return inputs.empty() ? opts.shards : inputs.size();
   }
 
-  void ensure_exec(std::size_t shard_count) {
-    if (engine || !lanes.empty() || sharded) return;
-    // One shared compile over the whole resident set (a one-element set is
-    // the plain single-query engine - byte- and performance-identical).
-    switch (opts.backend) {
-      case backend_kind::scalar:
-        engine = core::make_filter_engine(core::engine_kind::scalar,
-                                          qset.queries(), opts.filter);
-        break;
-      case backend_kind::chunked:
-        engine = core::make_filter_engine(core::engine_kind::chunked,
-                                          qset.queries(), opts.filter);
-        break;
-      case backend_kind::system:
-        // filter_system semantics: compile once, clone every further lane.
-        lanes.push_back(core::make_filter_engine(opts.engine, qset.queries(),
-                                                 opts.filter));
-        if (opts.engine == core::engine_kind::chunked)
-          lanes.front()->collect_record_sizes(true);  // lane accounting
-        for (int lane = 1; lane < opts.lanes; ++lane)
-          lanes.push_back(lanes.front()->clone());
-        lane_bytes.assign(static_cast<std::size_t>(opts.lanes), 0);
-        break;
-      case backend_kind::sharded:
-        sharded = std::make_unique<system::sharded_filter_system>(
-            qset.queries(), shard_count,
-            to_system_options(opts, static_cast<int>(shard_count),
-                              opts.engine));
-        break;
-    }
-    const std::size_t n =
-        opts.backend == backend_kind::sharded ? shard_count : 1;
+  /// Stand the execution up: one shared compile over the whole resident
+  /// set (a one-element set is the plain single-query engine - byte- and
+  /// performance-identical), cloned into one lane per stream.
+  void start_exec() {
+    const std::size_t n = stream_count();
+    sharded = std::make_unique<system::sharded_filter_system>(
+        qset.queries(), n, to_system_options(opts));
     streams.reserve(n);
-    while (streams.size() < n) {
+    for (std::size_t shard = 0; shard < n; ++shard) {
       auto st = std::make_unique<stream_state>();
       st->reg = reg;
       streams.push_back(std::move(st));
     }
-    if (history.size() < n) history.resize(n);
-    if (project_enabled && projection.empty()) {
+    history.resize(n);
+    if (project_enabled) {
       for (std::size_t shard = 0; shard < n; ++shard) {
         projection.push_back(
             std::make_unique<projection_state>(paths, opts.filter.simd));
@@ -374,154 +305,32 @@ struct pipeline::impl {
     }
   }
 
-  // One record complete: deal it to the next lane (round-robin, identical
-  // to filter_system::run over json::split_records with the configured
-  // separator byte).
-  void deal_record(std::string_view record) {
-    if (record.empty()) return;  // split_records skips empty lines
-    // dealt_count, not dealt.size(): `dealt` is a consume stream in
-    // multi-tenant mode, while the round-robin lane cursor must keep the
-    // lifetime record ordinal.
-    const std::size_t lane =
-        static_cast<std::size_t>(dealt_count) % lanes.size();
-    lane_bytes[lane] += record.size() + 1;  // + separator byte
-    ++dealt_count;
-    if (lanes.front()->query_count() > 1) {
-      const std::size_t wpr = lanes.front()->words_per_record();
-      dealt_words.resize(dealt_words.size() + wpr, 0);
-      dealt.push_back(lanes[lane]->accepts_bits(
-          record, dealt_words.data() + dealt_words.size() - wpr));
-    } else {
-      dealt.push_back(lanes[lane]->accepts(record));
-    }
-  }
-
-  // Chunked-engine record routing: whole chunks flow through lane 0's
-  // buffer-at-a-time bitmap pipeline (one structural classification per
-  // ingest buffer) instead of one accepts() call per record, which would
-  // stand up a fresh bitmap pass per record. Decisions land in `dealt` in
-  // record order - the same order per-record dealing produces, since every
-  // lane runs the identical compiled filter. The round-robin lane byte
-  // accounting the cycle model consumes comes from the engine's framing
-  // telemetry (record_sizes), so no second separator walk of the stream.
-  void drain_router() {
-    for (const bool d : lanes.front()->take_decisions()) {
-      dealt.push_back(d);
-      ++dealt_count;
-    }
-    // Whole-word batch move: the engine's bitmap rows either BECOME the
-    // dealt buffer or append to it with one bulk insert.
-    std::vector<std::uint64_t> words = lanes.front()->take_decision_words();
-    if (dealt_words.empty())
-      dealt_words = std::move(words);
-    else
-      dealt_words.insert(dealt_words.end(), words.begin(), words.end());
-    for (const std::uint32_t n : lanes.front()->take_record_sizes()) {
-      lane_bytes[accounted % lanes.size()] += n + 1;  // + separator byte
-      ++accounted;
-    }
-  }
-
-  void deal_chunk(std::string_view chunk) {
-    const char separator = static_cast<char>(opts.filter.separator);
-    std::size_t start = 0;
-    while (start <= chunk.size()) {
-      const std::size_t nl = chunk.find(separator, start);
-      if (nl == std::string_view::npos) {
-        pending.append(chunk.substr(start));
-        return;
-      }
-      if (pending.empty()) {
-        deal_record(chunk.substr(start, nl - start));
-      } else {
-        pending.append(chunk.substr(start, nl - start));
-        deal_record(pending);
-        pending.clear();
-      }
-      start = nl + 1;
-    }
-  }
-
+  /// Absorb the whole view into `shard`, draining a full FIFO in-line -
+  /// only this shard's lane, so a blocking producer never waits on (or
+  /// pumps work into) another shard. pump_shard() with a zero budget
+  /// empties the lane, so after one drain a non-zero FIFO (validated at
+  /// build()) must accept bytes: two zero-byte rounds in a row mean the
+  /// lane cannot make forward progress, which is reported instead of spun
+  /// on (each refused round already ticked the shard's
+  /// hard_backpressure_events, so the stall is observable in stats() too).
   void offer_bytes(std::size_t shard, std::string_view bytes) {
-    switch (opts.backend) {
-      case backend_kind::scalar:
-      case backend_kind::chunked:
-        engine->scan_chunk(bytes);
-        offered += bytes.size();
-        break;
-      case backend_kind::system:
-        if (opts.engine == core::engine_kind::chunked) {
-          lanes.front()->scan_chunk(bytes);
-          drain_router();
-        } else {
-          deal_chunk(bytes);
-        }
-        offered += bytes.size();
-        break;
-      case backend_kind::sharded: {
-        // Absorb the whole view, draining a full FIFO in-line - only this
-        // shard's lane, so a blocking producer never waits on (or pumps
-        // work into) another shard. pump_shard() with a zero budget
-        // empties the lane, so after one drain a non-zero FIFO (validated
-        // at build()) must accept bytes: two zero-byte rounds in a row
-        // mean the lane cannot make forward progress, which is reported
-        // instead of spun on (each refused round already ticked the
-        // shard's hard_backpressure_events, so the stall is observable in
-        // stats() too).
-        std::string_view rest = bytes;
-        bool stalled = false;
-        while (!rest.empty()) {
-          const std::size_t taken = sharded->offer(shard, rest);
-          rest.remove_prefix(taken);
-          if (rest.empty()) break;
-          if (taken == 0) {
-            if (stalled)
-              throw error("pipeline: offer() made no forward progress on "
-                          "shard " + std::to_string(shard) +
-                          " (lane FIFO stuck full after a drain)");
-            stalled = true;
-          } else {
-            stalled = false;
-          }
-          sharded->pump_shard(shard);
-        }
-        break;
+    std::string_view rest = bytes;
+    bool stalled = false;
+    while (!rest.empty()) {
+      const std::size_t taken = sharded->offer(shard, rest);
+      rest.remove_prefix(taken);
+      if (rest.empty()) break;
+      if (taken == 0) {
+        if (stalled)
+          throw error("pipeline: offer() made no forward progress on shard " +
+                      std::to_string(shard) +
+                      " (lane FIFO stuck full after a drain)");
+        stalled = true;
+      } else {
+        stalled = false;
       }
+      sharded->pump_shard(shard);
     }
-  }
-
-  void flush() {
-    switch (opts.backend) {
-      case backend_kind::scalar:
-      case backend_kind::chunked:
-        engine->finish();
-        break;
-      case backend_kind::system:
-        if (opts.engine == core::engine_kind::chunked) {
-          lanes.front()->finish();
-          drain_router();
-        } else if (!pending.empty()) {
-          deal_record(pending);
-          pending.clear();
-        }
-        break;
-      case backend_kind::sharded:
-        sharded->finish();
-        break;
-    }
-  }
-
-  const std::vector<bool>& decisions_of(std::size_t shard) const {
-    switch (opts.backend) {
-      case backend_kind::scalar:
-      case backend_kind::chunked:
-        return engine->decisions();
-      case backend_kind::system:
-        return dealt;
-      case backend_kind::sharded:
-        return sharded->decisions(shard);
-    }
-    throw error("pipeline: invalid backend");
   }
 
   bool sinks_for(const query_registry& r) const {
@@ -580,40 +389,22 @@ struct pipeline::impl {
   /// bitmap words) into the shard's history. Caller holds the gate.
   std::uint64_t stage_multi(std::size_t shard) {
     stream_state& st = *streams[shard];
-    std::vector<bool> any;
-    std::vector<std::uint64_t> words;
-    switch (opts.backend) {
-      case backend_kind::scalar:
-      case backend_kind::chunked:
-        any = engine->take_decisions();
-        words = engine->take_decision_words();
-        break;
-      case backend_kind::system:
-        any.swap(dealt);
-        words.swap(dealt_words);
-        break;
-      case backend_kind::sharded: {
-        auto taken = sharded->take_decisions(shard);
-        any = std::move(taken.any);
-        words = std::move(taken.words);
-        break;
-      }
-    }
+    auto taken = sharded->take_decisions(shard);
     const std::uint64_t base = st.archived;
-    archive_batch(shard, st.reg, any, std::move(words));
-    const std::uint64_t end = base + any.size();
+    archive_batch(shard, st.reg, taken.any, std::move(taken.words));
+    const std::uint64_t end = base + taken.any.size();
     const std::uint64_t seen = std::max<std::uint64_t>(st.observed, base);
     return end > seen ? end - seen : 0;
   }
 
   /// Stage decisions the sink has not seen yet. Caller holds the shard's
-  /// gate (which keeps the lane quiescent, so reading decisions_of is
-  /// safe); the sink is NOT invoked here - flush_decisions does that with
-  /// no lock held. Returns how many new decisions were observed.
+  /// gate, or runs quiescent (run()/finish()); the sink is NOT invoked
+  /// here - flush_decisions does that with no lock held. Returns how many
+  /// new decisions were observed.
   std::uint64_t stage_decisions(std::size_t shard) {
     if (multi.load(std::memory_order_relaxed)) return stage_multi(shard);
     stream_state& st = *streams[shard];
-    const std::vector<bool>& all = decisions_of(shard);
+    const std::vector<bool>& all = sharded->decisions(shard);
     if (st.observed >= all.size()) return 0;
     const std::uint64_t fresh = all.size() - st.observed;
     std::lock_guard<std::mutex> lock(st.sink_mutex);
@@ -750,63 +541,22 @@ struct pipeline::impl {
   run_result collect() {
     run_result result;
     const bool m = multi.load(std::memory_order_relaxed);
-    switch (opts.backend) {
-      case backend_kind::scalar:
-      case backend_kind::chunked:
-      case backend_kind::system: {
-        const bool single = opts.backend != backend_kind::system;
-        // Multi-tenant mode drained every decision into the history (the
-        // engine vectors are consume streams); otherwise they still sit
-        // in the engine / the dealt vector.
-        const std::vector<bool>& decisions =
-            m ? history[0].any : (single ? engine->decisions() : dealt);
-        std::uint64_t accepted = 0;
-        for (const bool d : decisions) accepted += d ? 1 : 0;
-        // Single-engine backends: the whole stream flows through one lane.
-        const std::uint64_t slowest =
-            single ? offered
-                   : (lane_bytes.empty()
-                          ? 0
-                          : *std::max_element(lane_bytes.begin(),
-                                              lane_bytes.end()));
-        const core::engine_kind ek = opts.backend == backend_kind::scalar
-                                         ? core::engine_kind::scalar
-                                         : opts.backend == backend_kind::chunked
-                                               ? core::engine_kind::chunked
-                                               : opts.engine;
-        result.report = system::model_report(
-            to_system_options(opts, single ? 1 : opts.lanes, ek), offered,
-            decisions.size(), accepted, slowest);
-        system::shard_stats stats;
-        stats.offered = offered;
-        stats.bytes = offered;
-        stats.records = decisions.size();
-        stats.accepted = accepted;
-        result.shards.push_back(stats);
-        result.shard_decisions.push_back(decisions);
-        result.decisions = decisions;
-        break;
-      }
-      case backend_kind::sharded: {
-        const system::sharded_report sr = sharded->report();
-        result.report.bytes = sr.bytes;
-        result.report.records = sr.records;
-        result.report.accepted = sr.accepted;
-        result.report.cycles = sr.cycles;
-        result.report.stall_cycles = sr.stall_cycles;
-        result.report.seconds = sr.seconds;
-        result.report.gbytes_per_second = sr.gbytes_per_second;
-        result.report.theoretical_gbps = sr.theoretical_gbps;
-        result.shards = sr.shards;
-        for (std::size_t shard = 0; shard < sharded->shard_count(); ++shard) {
-          result.shard_decisions.push_back(m ? history[shard].any
-                                             : sharded->decisions(shard));
-          result.decisions.insert(result.decisions.end(),
-                                  result.shard_decisions.back().begin(),
-                                  result.shard_decisions.back().end());
-        }
-        break;
-      }
+    const system::sharded_report sr = sharded->report();
+    result.report.bytes = sr.bytes;
+    result.report.records = sr.records;
+    result.report.accepted = sr.accepted;
+    result.report.cycles = sr.cycles;
+    result.report.stall_cycles = sr.stall_cycles;
+    result.report.seconds = sr.seconds;
+    result.report.gbytes_per_second = sr.gbytes_per_second;
+    result.report.theoretical_gbps = sr.theoretical_gbps;
+    result.shards = sr.shards;
+    for (std::size_t shard = 0; shard < sharded->shard_count(); ++shard) {
+      result.shard_decisions.push_back(m ? history[shard].any
+                                         : sharded->decisions(shard));
+      result.decisions.insert(result.decisions.end(),
+                              result.shard_decisions.back().begin(),
+                              result.shard_decisions.back().end());
     }
     if (m) {
       result.query_ids = reg->ids;
@@ -828,42 +578,11 @@ struct pipeline::impl {
     return result;
   }
 
-  /// Pull `source` dry into `shard`, one DMA burst per round (the
-  /// concurrent_runner pacing, applied to the single-stream backends).
-  void feed(std::size_t shard, system::ingest_source& source) {
-    while (!source.exhausted()) {
-      const std::string_view chunk = source.peek(opts.dma_burst_bytes);
-      if (chunk.empty()) {
-        // Throttled source, nothing this round: give the producer's clock
-        // a chance to advance instead of pegging a core on the poll.
-        std::this_thread::yield();
-        continue;
-      }
-      offer_bytes(shard, chunk);
-      source.consume(chunk.size());
-    }
-  }
-
   run_result run_batch() {
-    if (opts.backend == backend_kind::sharded) {
-      ensure_exec(inputs.size());
-      system::concurrent_runner runner(*sharded, opts.dma_burst_bytes);
-      for (std::size_t shard = 0; shard < inputs.size(); ++shard)
-        runner.bind(shard, open_source(inputs[shard]));
-      runner.run();
-    } else {
-      ensure_exec(1);
-      for (input_spec& in : inputs) {
-        // In-memory inputs skip the source round-trip: one offer each.
-        if (in.k == input_spec::kind::view)
-          offer_bytes(0, in.view);
-        else if (in.k == input_spec::kind::text)
-          offer_bytes(0, in.text);
-        else
-          feed(0, *open_source(in));
-      }
-      flush();
-    }
+    system::concurrent_runner runner(*sharded, opts.dma_burst_bytes);
+    for (std::size_t shard = 0; shard < inputs.size(); ++shard)
+      runner.bind(shard, open_source(inputs[shard]));
+    runner.run();
     // run() is exclusive (state moved to done before this), so staging
     // needs no gates; the sink still fires outside the stage step.
     for (std::size_t shard = 0; shard < streams.size(); ++shard) {
@@ -874,25 +593,6 @@ struct pipeline::impl {
   }
 
   // --- runtime query management ------------------------------------------
-
-  /// Why this pipeline cannot swap engines mid-stream, or nullopt when it
-  /// can. Swapping needs an engine that surrenders its in-flight partial
-  /// record (take_carry): every chunked engine does; the system backend's
-  /// scalar lanes hold no cross-record state (the facade keeps the partial
-  /// record itself), so they swap trivially too.
-  std::optional<std::string> mutation_unsupported() const {
-    if (opts.backend == backend_kind::scalar)
-      return std::string(
-          "pipeline: runtime add/remove needs a batched engine - the "
-          "scalar backend replays one fixed byte-per-cycle pipeline");
-    if (opts.backend == backend_kind::sharded &&
-        opts.engine == core::engine_kind::scalar)
-      return std::string(
-          "pipeline: runtime add/remove on the sharded backend needs "
-          "engine(chunked) - scalar lanes cannot surrender an in-flight "
-          "record");
-    return std::nullopt;
-  }
 
   /// New epoch snapshot for the current qset, carrying per-query sinks
   /// over by id. Caller holds mutation_mutex.
@@ -921,16 +621,9 @@ struct pipeline::impl {
   /// records decided before the new set existed.
   void swap_epoch(registry_ptr nreg, bool rebuild) {
     std::unique_ptr<core::filter_engine> proto;
-    if (rebuild && opts.backend != backend_kind::sharded) {
-      const core::engine_kind kind =
-          opts.backend == backend_kind::chunked ? core::engine_kind::chunked
-                                                : opts.engine;
-      proto = core::make_filter_engine(kind, qset.queries(), opts.filter);
-    }
-    std::unique_ptr<core::filter_engine> sharded_proto;
-    if (rebuild && opts.backend == backend_kind::sharded)
-      sharded_proto = core::make_filter_engine(core::engine_kind::chunked,
-                                               qset.queries(), opts.filter);
+    if (rebuild)
+      proto = core::make_filter_engine(core::engine_kind::chunked,
+                                       qset.queries(), opts.filter);
     // Flip to consume-stream staging BEFORE touching any stream: a
     // producer racing the walk on a not-yet-swapped shard then stages
     // take-style under its stream's (still old) epoch, which is exactly
@@ -940,53 +633,21 @@ struct pipeline::impl {
     for (std::size_t shard = 0; shard < streams.size(); ++shard) {
       stream_state& st = *streams[shard];
       std::lock_guard<std::mutex> gate(st.gate);
+      // Bytes already offered decide under the outgoing epoch, so the FIFO
+      // drains through the current engine before the epoch moves - also
+      // for a registry-only swap, whose sinks must not see those records.
+      sharded->pump_shard(shard);
       stage_decisions(shard);
       if (rebuild) {
-        switch (opts.backend) {
-          case backend_kind::chunked: {
-            std::vector<unsigned char> carry = engine->take_carry();
-            engine = proto->clone();
-            // A record always starts from the power-on automaton state, so
-            // replaying the in-flight bytes reproduces the stream position
-            // exactly (no boundary hides in a carry by construction).
-            if (!carry.empty())
-              engine->scan_chunk(
-                  std::span<const unsigned char>{carry.data(), carry.size()});
-            break;
-          }
-          case backend_kind::system: {
-            std::vector<unsigned char> carry;
-            if (opts.engine == core::engine_kind::chunked)
-              carry = lanes.front()->take_carry();
-            lanes.clear();
-            lanes.push_back(proto->clone());
-            if (opts.engine == core::engine_kind::chunked)
-              lanes.front()->collect_record_sizes(true);
-            for (int lane = 1; lane < opts.lanes; ++lane)
-              lanes.push_back(lanes.front()->clone());
-            if (!carry.empty())
-              lanes.front()->scan_chunk(
-                  std::span<const unsigned char>{carry.data(), carry.size()});
-            break;
-          }
-          case backend_kind::sharded: {
-            // swap_shard drains the FIFO through the OLD engine first; its
-            // tail decisions belong to the outgoing epoch.
-            auto taken = sharded->swap_shard(shard, *sharded_proto);
-            archive_batch(shard, st.reg, taken.any, std::move(taken.words));
-            break;
-          }
-          case backend_kind::scalar:
-            break;  // unreachable: mutation_unsupported rejected it
-        }
-        if (project_enabled && shard < projection.size()) {
-          // The rebuilt engine starts bare (clones never carry the hook)
-          // and its record ordinals restart at zero; everything decided so
-          // far was archived above (stage_decisions, plus swap_shard's
-          // drained tail), so the shard's record numbering continues at
+        auto taken = sharded->swap_shard(shard, *proto);
+        archive_batch(shard, st.reg, taken.any, std::move(taken.words));
+        if (project_enabled) {
+          // swap_shard carried the hook over, but the rebuilt engine's
+          // record ordinals restart at zero; everything decided so far was
+          // archived above (stage_decisions, plus swap_shard's drained
+          // tail), so the shard's record numbering continues at
           // st.archived. The projected path set stays frozen - runtime
           // adds decide normally but do not extend it.
-          attach_projection(shard);
           projection[shard]->base = st.archived;
         }
       }
@@ -1002,7 +663,6 @@ struct pipeline::impl {
     if (!qexpr) throw error("pipeline: add_query(null expression)");
     std::lock_guard<std::mutex> mu(mutation_mutex);
     if (done()) throw error("pipeline: add_query() after finish()/run()");
-    if (auto why = mutation_unsupported()) throw error(*why);
     const core::query_id id = qset.add(std::move(qexpr));
     try {
       auto nreg = snapshot_registry();
@@ -1023,7 +683,6 @@ struct pipeline::impl {
   void remove_query_impl(core::query_id id) {
     std::lock_guard<std::mutex> mu(mutation_mutex);
     if (done()) throw error("pipeline: remove_query() after finish()/run()");
-    if (auto why = mutation_unsupported()) throw error(*why);
     if (!qset.contains(id))
       throw error("pipeline: remove_query(" + std::to_string(id) +
                   "): unknown query id");
@@ -1044,13 +703,13 @@ struct pipeline::impl {
     nreg->query_sinks[qset.ordinal(id)] = std::move(s);
     nreg->index_sinks();
     // Registry-only epoch: the engines already evaluate this query, only
-    // the delivery plan changes - every backend supports it.
+    // the delivery plan changes.
     swap_epoch(std::move(nreg), false);
   }
 
-  /// Shared entry gate of the streaming calls: validate under state_mutex,
-  /// flip to streaming, stand the execution up. Returns an error message
-  /// or nullopt; never holds state_mutex beyond the check.
+  /// Shared entry gate of the streaming calls: validate under state_mutex
+  /// and flip to streaming. Returns an error message or nullopt; never
+  /// holds state_mutex beyond the check.
   std::optional<std::string> enter_streaming(const char* op,
                                             std::size_t shard) {
     std::lock_guard<std::mutex> lock(state_mutex);
@@ -1065,7 +724,6 @@ struct pipeline::impl {
              " out of range (" + std::to_string(stream_count()) +
              " streams)";
     state.store(phase::streaming, std::memory_order_relaxed);
-    ensure_exec(stream_count());
     return std::nullopt;
   }
 
@@ -1184,15 +842,8 @@ expected<std::uint64_t> pipeline::try_offer(std::size_t shard,
       std::lock_guard<std::mutex> gate(st.gate);
       if (impl_->done())
         return unexpected("pipeline: try_offer() after finish()/run()");
-      if (impl_->sharded) {
-        // Bounded by the lane's free FIFO space; never drains in-line.
-        taken = impl_->sharded->offer(shard, bytes);
-      } else {
-        // No FIFO in front of a single engine: absorbing IS the scan.
-        impl_->offer_bytes(shard, bytes);
-        taken = bytes.size();
-        impl_->stage_decisions(shard);
-      }
+      // Bounded by the lane's free FIFO space; never drains in-line.
+      taken = impl_->sharded->offer(shard, bytes);
     }
     impl_->flush_decisions(shard);
     return taken;
@@ -1203,18 +854,14 @@ expected<std::uint64_t> pipeline::try_offer(std::size_t shard,
 
 expected<std::uint64_t> pipeline::pump() {
   try {
-    {
-      std::lock_guard<std::mutex> lock(impl_->state_mutex);
-      if (impl_->state.load(std::memory_order_relaxed) == impl::phase::done)
-        return unexpected("pipeline: pump() after finish()/run()");
-      impl_->ensure_exec(impl_->stream_count());
-    }
+    if (impl_->done())
+      return unexpected("pipeline: pump() after finish()/run()");
     std::uint64_t observed = 0;
     for (std::size_t shard = 0; shard < impl_->streams.size(); ++shard) {
       {
         std::lock_guard<std::mutex> gate(impl_->streams[shard]->gate);
         if (impl_->done()) break;
-        if (impl_->sharded) impl_->sharded->pump_shard(shard);
+        impl_->sharded->pump_shard(shard);
         observed += impl_->stage_decisions(shard);
       }
       impl_->flush_decisions(shard);
@@ -1227,22 +874,17 @@ expected<std::uint64_t> pipeline::pump() {
 
 expected<std::uint64_t> pipeline::pump(std::size_t shard) {
   try {
-    {
-      std::lock_guard<std::mutex> lock(impl_->state_mutex);
-      if (impl_->state.load(std::memory_order_relaxed) == impl::phase::done)
-        return unexpected("pipeline: pump() after finish()/run()");
-      if (shard >= impl_->stream_count())
-        return unexpected("pipeline: shard " + std::to_string(shard) +
-                          " out of range (" +
-                          std::to_string(impl_->stream_count()) +
-                          " streams)");
-      impl_->ensure_exec(impl_->stream_count());
-    }
+    if (impl_->done())
+      return unexpected("pipeline: pump() after finish()/run()");
+    if (shard >= impl_->stream_count())
+      return unexpected("pipeline: shard " + std::to_string(shard) +
+                        " out of range (" +
+                        std::to_string(impl_->stream_count()) + " streams)");
     std::uint64_t observed = 0;
     {
       std::lock_guard<std::mutex> gate(impl_->streams[shard]->gate);
       if (!impl_->done()) {
-        if (impl_->sharded) impl_->sharded->pump_shard(shard);
+        impl_->sharded->pump_shard(shard);
         observed = impl_->stage_decisions(shard);
       }
     }
@@ -1262,7 +904,6 @@ expected<run_result> pipeline::finish() {
       if (!impl_->inputs.empty())
         return unexpected("pipeline: finish() on a pipeline with bound "
                           "inputs - use run()");
-      impl_->ensure_exec(impl_->stream_count());
       impl_->state.store(impl::phase::done, std::memory_order_release);
     }
     // Quiesce: in-flight offers either finished before the store above or
@@ -1279,7 +920,7 @@ expected<run_result> pipeline::finish() {
       impl_->offer_bytes(impl_->router_next_shard, impl_->router_carry);
       impl_->router_carry.clear();
     }
-    impl_->flush();
+    impl_->sharded->finish();
     for (std::size_t shard = 0; shard < impl_->streams.size(); ++shard)
       impl_->stage_decisions(shard);
     gates.clear();
@@ -1365,27 +1006,7 @@ std::vector<core::query_id> pipeline::query_ids() const {
 
 expected<std::vector<system::shard_stats>> pipeline::stats() const {
   try {
-    if (impl_->sharded) return impl_->sharded->report().shards;
-    system::shard_stats stats;
-    if (!impl_->streams.empty()) {
-      // Single-stream backends: the gate keeps the engine quiescent while
-      // the decision vector is scanned.
-      std::lock_guard<std::mutex> gate(impl_->streams.front()->gate);
-      stats.offered = impl_->offered;
-      stats.bytes = impl_->offered;
-      const std::vector<bool>& decisions = impl_->decisions_of(0);
-      stats.records = decisions.size();
-      for (const bool d : decisions) stats.accepted += d ? 1 : 0;
-      if (impl_->multi.load(std::memory_order_relaxed) &&
-          !impl_->history.empty()) {
-        // Multi-tenant mode: decisions_of holds only the not-yet-taken
-        // tail; everything staged so far lives in the history.
-        stats.records += impl_->history[0].any.size();
-        for (const bool d : impl_->history[0].any)
-          stats.accepted += d ? 1 : 0;
-      }
-    }
-    return std::vector<system::shard_stats>{stats};
+    return impl_->sharded->report().shards;
   } catch (const std::exception& e) {
     return unexpected(error_info::from(e));
   }
@@ -1512,15 +1133,7 @@ pipeline_builder& pipeline_builder::group(core::group_kind kind) {
   return *this;
 }
 
-pipeline_builder& pipeline_builder::backend(backend_kind kind) {
-  state_->opts.backend = kind;
-  return *this;
-}
-
-pipeline_builder& pipeline_builder::lanes(int n) {
-  state_->opts.lanes = n;
-  return *this;
-}
+pipeline_builder& pipeline_builder::backend(backend_kind) { return *this; }
 
 pipeline_builder& pipeline_builder::shards(std::size_t n) {
   state_->opts.shards = n;
@@ -1540,11 +1153,6 @@ pipeline_builder& pipeline_builder::lane_fifo_bytes(std::size_t n) {
 
 pipeline_builder& pipeline_builder::dma_burst_bytes(std::size_t n) {
   state_->opts.dma_burst_bytes = n;
-  return *this;
-}
-
-pipeline_builder& pipeline_builder::engine(core::engine_kind kind) {
-  state_->opts.engine = kind;
   return *this;
 }
 
@@ -1668,38 +1276,22 @@ expected<pipeline> pipeline_builder::build() {
   if (s.bad_simd)
     return unexpected("pipeline: unknown simd level \"" + *s.bad_simd +
                       "\" - one of automatic / scalar / sse2 / avx2 / avx512");
-  if (s.opts.backend == backend_kind::system && s.opts.lanes < 1)
-    return unexpected("pipeline: the system backend needs at least one lane");
   for (const input_spec& in : s.inputs)
     if (in.k == input_spec::kind::custom && !in.source)
       return unexpected("pipeline: null ingest source bound");
   for (const state::extra_query& ex : s.extras)
     if (ex.k == state::source_kind::expr && !ex.expr)
       return unexpected("pipeline: add_raw_filter(null expression)");
-  if (s.opts.backend == backend_kind::sharded) {
-    if (s.opts.lane_fifo_bytes == 0)
-      return unexpected("pipeline: the sharded backend needs a non-zero "
-                        "lane FIFO");
-    if (s.inputs.empty() && s.opts.shards == 0)
-      return unexpected("pipeline: the sharded backend needs shards >= 1 "
-                        "(or bound inputs, one shard each)");
-    if (s.shards_set && !s.inputs.empty() &&
-        s.opts.shards != s.inputs.size())
-      return unexpected("pipeline: shards(" + std::to_string(s.opts.shards) +
-                        ") conflicts with " + std::to_string(s.inputs.size()) +
-                        " bound inputs - sharded mode binds one shard per "
-                        "input");
-  }
+  if (s.opts.lane_fifo_bytes == 0)
+    return unexpected("pipeline: lane_fifo_bytes must be non-zero");
+  if (s.inputs.empty() && s.opts.shards == 0)
+    return unexpected("pipeline: shards must be >= 1 (or bound inputs, one "
+                      "shard each)");
+  if (s.shards_set && !s.inputs.empty() && s.opts.shards != s.inputs.size())
+    return unexpected("pipeline: shards(" + std::to_string(s.opts.shards) +
+                      ") conflicts with " + std::to_string(s.inputs.size()) +
+                      " bound inputs - each input is its own shard");
   if (s.project) {
-    if (s.opts.backend == backend_kind::scalar)
-      return unexpected("pipeline: projection needs an engine that surfaces "
-                        "accepted records - the scalar backend cannot "
-                        "project (use chunked / system / sharded)");
-    if (s.opts.backend != backend_kind::chunked &&
-        s.opts.engine == core::engine_kind::scalar)
-      return unexpected("pipeline: projection needs the chunked engine - "
-                        "engine(core::engine_kind::scalar) cannot surface "
-                        "accepted records");
     if (s.opts.projection_batch_rows == 0)
       return unexpected("pipeline: projection_batch_rows must be non-zero");
     // The extraction walk reads the records' structural bitmap; a record
@@ -1804,8 +1396,8 @@ expected<pipeline> pipeline_builder::build() {
     // Stand the execution state up eagerly: engine compilation, lane
     // clones and the worker pool all belong to build(), so run()/offer()
     // spend their time on steady-state filtering only (the wall-clock
-    // benches time run() alone, matching a pre-constructed filter_system).
-    impl->ensure_exec(impl->stream_count());
+    // benches time run() alone).
+    impl->start_exec();
   } catch (const std::exception& e) {
     s.inputs = std::move(impl->inputs);
     const auto* pe = dynamic_cast<const parse_error*>(&e);

@@ -9,7 +9,6 @@
 //   auto built = jrf::pipeline::make()
 //                    .jsonpath(R"($.e[?(@.n=="temperature" & @.v >= 0.7
 //                                       & @.v <= 35.1)])")
-//                    .backend(jrf::backend_kind::sharded)
 //                    .worker_threads(4)
 //                    .input(feed0).input(feed1)
 //                    .build();                  // expected<pipeline>
@@ -25,16 +24,17 @@
 // resident queries compile into ONE shared evaluation plan (single bitmap
 // pass and framing walk per ingest buffer, primitive engines interned by
 // spec key), each record gets a per-query decision bitmap, and the
-// any-match decision keeps its single-query meaning. Backends select the
-// execution layer the decisions are byte-identical to:
+// any-match decision keeps its single-query meaning.
 //
-//   scalar  - one core::filter_engine(scalar): the paper-faithful
-//             byte-per-cycle reference path,
-//   chunked - one core::filter_engine(chunked): the batched hot path,
-//   system  - system::filter_system semantics: N replicated lanes, whole
-//             records dealt round-robin (Figure 4),
-//   sharded - system::sharded_filter_system + concurrent_runner: one lane
-//             per input stream, bounded FIFOs, optional worker pool.
+// Every pipeline executes on one path: system::sharded_filter_system, one
+// chunked-engine lane per shard with a bounded FIFO, pumped on the calling
+// thread or a worker pool. Bound inputs get one shard each; a streaming
+// pipeline has shards() of them (default 1). The paper's Figure-4 system -
+// one stream, whole records dealt round-robin to L replicated lanes - is
+// shards(L) fed through the shard-less offer(bytes), and finish() reports
+// it with the cycle-quantized model (one lane per shard). The byte-serial
+// engines in core/ (raw_filter::push, the scalar filter engine) are the
+// reference the equivalence suites compare this path against.
 //
 // The API boundary is non-throwing: build(), run(), offer(), try_offer(),
 // pump() and finish() return jrf::expected, preserving parse_error byte
@@ -78,9 +78,9 @@
 
 namespace jrf {
 
-enum class backend_kind { scalar, chunked, system, sharded };
-
-const char* to_string(backend_kind kind);
+/// The execution path. Only one remains (sharded chunked lanes); the
+/// builder's backend() setter keeps accepting it for existing callers.
+enum class backend_kind { sharded };
 
 /// Per-record verdict callback: (shard, record index within that shard's
 /// stream, accepted).
@@ -111,17 +111,13 @@ using projection_sink =
     std::function<void(std::size_t, const project::column_batch&)>;
 
 struct pipeline_options {
-  backend_kind backend = backend_kind::system;
-
   // Execution.
-  int lanes = 7;                   // system backend: replicated pipelines
-  std::size_t shards = 1;          // sharded streaming: lane/FIFO count
-  std::size_t worker_threads = 0;  // sharded: pool pumping the lanes
+  std::size_t shards = 1;          // streaming: lane/FIFO count
+  std::size_t worker_threads = 0;  // pool pumping the lanes (0/1 = caller)
   std::size_t lane_fifo_bytes = 8192;
   std::size_t dma_burst_bytes = 4096;
   double clock_mhz = 200.0;
   int dma_setup_cycles = 12;
-  core::engine_kind engine = core::engine_kind::chunked;  // system/sharded
 
   // Projection: accepted records per columnar batch. A registered
   // on_projection sink receives a batch whenever a shard accumulates this
@@ -179,14 +175,13 @@ class pipeline_builder {
   pipeline_builder& block(int b);
   pipeline_builder& group(core::group_kind kind);
 
-  // --- execution backend ---
+  // --- execution ---
+  /// Accepted for source compatibility; there is nothing to select.
   pipeline_builder& backend(backend_kind kind);
-  pipeline_builder& lanes(int n);
   pipeline_builder& shards(std::size_t n);
   pipeline_builder& worker_threads(std::size_t n);
   pipeline_builder& lane_fifo_bytes(std::size_t n);
   pipeline_builder& dma_burst_bytes(std::size_t n);
-  pipeline_builder& engine(core::engine_kind kind);
   pipeline_builder& separator(unsigned char s);
   /// Vector tier of the bulk scans (default automatic = runtime CPU
   /// dispatch clamped by JRF_FORCE_SCALAR / JRF_SIMD_LEVEL). Decisions are
@@ -198,8 +193,7 @@ class pipeline_builder {
   /// Replace the whole option block (setters called afterwards still win).
   pipeline_builder& options(pipeline_options o);
 
-  // --- inputs (sharded: one shard per input; other backends: sequential
-  // segments of the single stream) ---
+  // --- inputs (one shard per input) ---
   /// Caller-owned buffer, zero copy; must outlive run().
   pipeline_builder& input(std::string_view buffer);
   /// Pipeline-owned copy of the text.
@@ -224,9 +218,6 @@ class pipeline_builder {
   /// parseable query sources, not raw expressions); the path_set overload
   /// names them explicitly. The set is frozen at build(): queries added at
   /// runtime decide normally but do NOT extend the projected paths.
-  /// Projection needs an engine that materialises bitmap passes: the
-  /// chunked backend, or system/sharded with engine(chunked) - the scalar
-  /// paths are rejected at build().
   pipeline_builder& project();
   pipeline_builder& project(project::path_set paths);
   /// Accepted records per batch (default 1024; 1 = one batch per record).
@@ -237,7 +228,7 @@ class pipeline_builder {
   pipeline_builder& on_projection(projection_sink sink);
 
   /// Validate, parse and compile. All failures - malformed query text
-  /// (with its parse_error byte offset), zero lanes/shards/FIFO/burst,
+  /// (with its parse_error byte offset), zero shards/FIFO/burst,
   /// missing or duplicate query source - come back as expected errors.
   expected<pipeline> build();
 
@@ -246,7 +237,7 @@ class pipeline_builder {
   std::unique_ptr<state> state_;
 };
 
-/// A built pipeline: one compiled query bound to one execution backend.
+/// A built pipeline: the compiled resident queries bound to their shards.
 /// Use either the batch surface (inputs bound in the builder + run()) or
 /// the streaming surface (offer()/pump()/finish()), never both.
 class pipeline {
@@ -262,15 +253,14 @@ class pipeline {
   /// Callable once; errors if the streaming surface was used.
   expected<run_result> run();
 
-  /// Streaming push into `shard` (sharded backend) or the single stream
-  /// (other backends, shard 0). Blocks until the whole view is absorbed -
+  /// Streaming push into `shard`. Blocks until the whole view is absorbed -
   /// a full lane FIFO is drained in-line, pumping only this shard's lane -
   /// and returns the bytes taken. Errors (instead of spinning) if a round
   /// of drain-then-offer makes no forward progress.
   expected<std::uint64_t> offer(std::size_t shard, std::string_view bytes);
 
-  /// Convenience overload without a shard. Single-stream pipelines feed
-  /// shard 0. A multi-shard sharded pipeline deals complete records
+  /// Convenience overload without a shard. Single-shard pipelines feed
+  /// shard 0. A multi-shard pipeline deals complete records
   /// round-robin across its shards (record k of the merged input goes to
   /// shard k % shard_count() at per-shard index k / shard_count(),
   /// matching data::shard_records): framing follows the engines'
@@ -283,12 +273,11 @@ class pipeline {
   expected<std::uint64_t> offer(std::string_view bytes);
 
   /// Non-blocking push: absorb at most what `shard` can take right now
-  /// and return the byte count. On the sharded backend this is bounded by
-  /// the lane's free FIFO space - 0 means hard backpressure (counted in
-  /// that shard's hard_backpressure_events); the caller re-offers the
-  /// rest after pump(shard), throttles, or sheds. try_offer() never
-  /// drains a FIFO in-line. Single-engine backends have no FIFO: the
-  /// engine itself absorbs the bytes, so the whole view is taken.
+  /// and return the byte count, bounded by the lane's free FIFO space -
+  /// 0 means hard backpressure (counted in that shard's
+  /// hard_backpressure_events); the caller re-offers the rest after
+  /// pump(shard), throttles, or sheds. try_offer() never drains a FIFO
+  /// in-line.
   expected<std::uint64_t> try_offer(std::size_t shard,
                                     std::string_view bytes);
 
@@ -309,12 +298,9 @@ class pipeline {
   // outside every stream lock (live traffic keeps flowing), then each
   // stream pauses only for its own drain + in-flight-record replay. Bytes
   // offered before the swap decide under the outgoing query set, bytes
-  // after under the incoming one - never half-and-half. Requires an
-  // engine that can surrender its in-flight record: the chunked /
-  // system backends and sharded with engine(chunked); the scalar backend
-  // reports an error. The optional per-query sink receives (shard,
-  // per-shard record index, accepted) for THAT query only, while it is
-  // resident.
+  // after under the incoming one - never half-and-half. The optional
+  // per-query sink receives (shard, per-shard record index, accepted) for
+  // THAT query only, while it is resident.
   expected<core::query_id> add_query(core::expr_ptr expr,
                                      decision_sink query_sink = nullptr);
   /// Table VIII filter-expression text, compiled with the builder's
@@ -328,7 +314,7 @@ class pipeline {
   /// always evaluates at least one).
   expected<bool> remove_query(core::query_id id);
   /// Attach (or replace; nullptr detaches) the per-query sink of a
-  /// resident query. Works on every backend - no engine swap involved.
+  /// resident query - no engine swap involved.
   expected<bool> on_query_decision(core::query_id id, decision_sink sink);
   /// Resident query ids, dense order == decision-bitmap bit order.
   std::vector<core::query_id> query_ids() const;

@@ -1,10 +1,9 @@
 // Result surface of the jrf::pipeline facade.
 //
-// Every backend - scalar, chunked, system, sharded - reports through the
-// same run_result: the merged cycle-quantized throughput_report of the
-// Figure-4 model, per-shard service stats, and the per-record decisions
-// both merged (shard order) and split per shard. Single-stream backends
-// report exactly one shard.
+// run() and finish() report through run_result: the merged
+// cycle-quantized throughput_report of the Figure-4 model (one lane per
+// shard), per-shard service stats, and the per-record decisions both
+// merged (shard order) and split per shard.
 #pragma once
 
 #include <cstdint>
@@ -30,20 +29,19 @@ struct query_column {
 };
 
 struct run_result {
-  /// Merged cycle-quantized accounting (system::model_report semantics;
-  /// for the sharded backend this is the merged sharded_report view).
+  /// Merged cycle-quantized accounting (system::model_report semantics,
+  /// the merged sharded_report view).
   system::throughput_report report;
 
   /// One entry per shard: offered/filtered bytes, records, accepted,
-  /// backpressure counters, FIFO high-watermark. Single-stream backends
-  /// report one shard with zero backpressure by construction.
+  /// backpressure counters, FIFO high-watermark.
   std::vector<system::shard_stats> shards;
 
   /// Per-record decisions, per shard, in each stream's record order.
   std::vector<std::vector<bool>> shard_decisions;
 
   /// Merged decisions: shard_decisions concatenated in shard order (for
-  /// single-stream backends this IS the stream order).
+  /// a single shard this IS the stream order).
   std::vector<bool> decisions;
 
   /// Multi-tenant pipelines only (more than one resident query, a verdict

@@ -582,8 +582,6 @@ class chunked_filter_engine final : public filter_engine {
                       chunk.begin() + static_cast<std::ptrdiff_t>(boundary));
         const bool accepted = evaluate_carry(next_words());
         decisions_.push_back(accepted);
-        if (sizes_enabled_)
-          record_sizes_.push_back(static_cast<std::uint32_t>(carry_.size()));
         // evaluate_carry computed record_pass_ over exactly the carried
         // bytes, so the carried record projects off that pass at bit 0.
         if (accepted && hook_)
@@ -595,8 +593,6 @@ class chunked_filter_engine final : public filter_engine {
             chunk.subspan(pos, boundary - pos);
         const bool accepted = evaluate_record(record, pass_, pos, next_words());
         decisions_.push_back(accepted);
-        if (sizes_enabled_)
-          record_sizes_.push_back(static_cast<std::uint32_t>(boundary - pos));
         // In-chunk accepted records DEFER their hook (pass_ outlives the
         // loop): running the projection walks back-to-back in small
         // groups instead of interleaved per record keeps the walk's code
@@ -642,8 +638,6 @@ class chunked_filter_engine final : public filter_engine {
         hook_(ordinal_, {carry_.data(), carry_.size()}, record_pass_, 0);
     }
     ++ordinal_;
-    if (sizes_enabled_)
-      record_sizes_.push_back(static_cast<std::uint32_t>(carry_.size()));
     carry_.clear();
     state_ = {};
   }

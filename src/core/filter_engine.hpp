@@ -19,14 +19,16 @@
 // Two implementations exist behind make_filter_engine():
 //
 //   scalar  - wraps raw_filter::push(), byte per byte; the paper-faithful
-//             reference path.
-//   chunked - the batched hot path. Records are framed with memchr-style
-//             separator search (escape-aware, so separator bytes inside
-//             JSON string literals never split a record), then each record
-//             is evaluated from whole-slice bulk scans of the primitive
-//             engines plus an event-driven replay of the structural group
-//             trackers at the sparse positions where state can change
-//             (member fire pulses, unmasked structural bytes, separator).
+//             reference the equivalence suites and hardware-model benches
+//             compare against (not a deployable jrf::pipeline path).
+//   chunked - the batched hot path every jrf::pipeline lane runs. Records
+//             are framed with memchr-style separator search (escape-
+//             aware, so separator bytes inside JSON string literals never
+//             split a record), then each record is evaluated from
+//             whole-slice bulk scans of the primitive engines plus an
+//             event-driven replay of the structural group trackers at the
+//             sparse positions where state can change (member fire
+//             pulses, unmasked structural bytes, separator).
 //
 // Both paths are decision-identical by construction, and the
 // core_chunked_equivalence_test suite holds them to it across the
@@ -219,21 +221,6 @@ class filter_engine {
   /// reset + scan + finish; identical to raw_filter::filter_stream.
   std::vector<bool> filter_stream(std::string_view stream);
 
-  /// Opt-in framing telemetry: when enabled, the chunked engine appends
-  /// the byte length of every record it decides (parallel to decisions(),
-  /// same skip-empty-records rule). The record router of the api layer
-  /// consumes this for lane byte accounting instead of re-framing the
-  /// stream itself. The scalar byte path does not implement it.
-  void collect_record_sizes(bool on) {
-    sizes_enabled_ = on;
-    record_sizes_.clear();
-  }
-  std::vector<std::uint32_t> take_record_sizes() {
-    std::vector<std::uint32_t> out;
-    out.swap(record_sizes_);
-    return out;
-  }
-
   /// Per-record decisions accumulated since the last clear (any-match for
   /// multi-query engines).
   const std::vector<bool>& decisions() const noexcept { return decisions_; }
@@ -308,8 +295,6 @@ class filter_engine {
   filter_options options_;
   std::vector<bool> decisions_;
   std::vector<std::uint64_t> decision_words_;
-  bool sizes_enabled_ = false;
-  std::vector<std::uint32_t> record_sizes_;
   accepted_hook hook_;  // empty unless set_accepted_hook installed one
 };
 

@@ -9,8 +9,7 @@ std::vector<std::string_view> split_records(std::string_view stream,
   // Raw, escape-unaware splitting (the documented contract; the engines'
   // framing automaton handles separators inside string literals). memchr
   // is the fastest available byte scan - the libc kernel is already
-  // vectorised for whatever the host has - and this loop is squarely on
-  // the system backend's hot path.
+  // vectorised for whatever the host has.
   std::vector<std::string_view> out;
   std::size_t start = 0;
   while (start < stream.size()) {

@@ -57,7 +57,7 @@ struct column_data {
 };
 
 /// Self-contained batch of projected rows: `records` holds the accepted
-/// records' ordinals (pipeline-wide record index on the facade backends),
+/// records' ordinals (the per-shard record index of the facade),
 /// `columns` one entry per path ordinal of the projecting path_set.
 struct column_batch {
   std::size_t shard = 0;

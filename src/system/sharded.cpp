@@ -25,29 +25,6 @@ std::string sharded_report::to_string() const {
   return buffer;
 }
 
-sharded_filter_system::sharded_filter_system(core::expr_ptr expr,
-                                             std::size_t shards,
-                                             system_options options)
-    : options_(options), expr_(std::move(expr)) {
-  if (shards < 1) throw error("sharded system: need at least one shard");
-  if (options_.lane_fifo_bytes == 0)
-    throw error("sharded system: zero lane FIFO size");
-  if (options_.dma_burst_bytes == 0)
-    throw error("sharded system: zero DMA burst size");
-  lanes_.reserve(shards);
-  for (std::size_t s = 0; s < shards; ++s)
-    lanes_.push_back(std::make_unique<lane>());
-  // One compile, N-1 clones: the lanes share DFA tables and gram sets.
-  lanes_.front()->engine =
-      core::make_filter_engine(options_.engine, expr_, options_.filter);
-  for (std::size_t s = 1; s < shards; ++s)
-    lanes_[s]->engine = lanes_.front()->engine->clone();
-  // 0 and 1 both mean "the calling thread pumps": a one-worker pool would
-  // only add handoff latency to an identical execution order.
-  if (options_.worker_threads > 1)
-    pool_ = std::make_unique<util::thread_pool>(options_.worker_threads);
-}
-
 sharded_filter_system::sharded_filter_system(
     std::vector<core::expr_ptr> queries, std::size_t shards,
     system_options options)
@@ -60,12 +37,15 @@ sharded_filter_system::sharded_filter_system(
   lanes_.reserve(shards);
   for (std::size_t s = 0; s < shards; ++s)
     lanes_.push_back(std::make_unique<lane>());
-  // One shared multi-query compile, then cheap clones per shard.
+  // One shared compile, N-1 clones: the lanes share DFA tables and gram
+  // sets.
   lanes_.front()->engine = core::make_filter_engine(
-      options_.engine, std::move(queries), options_.filter);
+      core::engine_kind::chunked, std::move(queries), options_.filter);
   expr_ = lanes_.front()->engine->expression();
   for (std::size_t s = 1; s < shards; ++s)
     lanes_[s]->engine = lanes_.front()->engine->clone();
+  // 0 and 1 both mean "the calling thread pumps": a one-worker pool would
+  // only add handoff latency to an identical execution order.
   if (options_.worker_threads > 1)
     pool_ = std::make_unique<util::thread_pool>(options_.worker_threads);
 }
@@ -247,9 +227,9 @@ sharded_report sharded_filter_system::report() const {
   // configured peak (and never divide by a zero cycle count).
   if (out.bytes == 0) return out;
 
-  // Same quantization as filter_system, via the shared model: one byte per
-  // lane per cycle, the slowest lane bounds completion, every DMA burst
-  // descriptor on the shared ingress bus charges setup cycles.
+  // The shared Figure-4 model: one byte per lane per cycle, the slowest
+  // lane bounds completion, every DMA burst descriptor on the shared
+  // ingress bus charges setup cycles.
   system_options per_shard = options_;
   per_shard.lanes = static_cast<int>(lanes_.size());
   const throughput_report model =

@@ -1,9 +1,10 @@
 // Sharded multi-stream system model - the concurrent service core.
 //
-// filter_system replays the paper's deployment: one stream, whole records
-// dealt round-robin to replicated pipelines. Production traffic is N
+// The one execution layer behind jrf::pipeline. Production traffic is N
 // independent streams (one per connection / queue / NIC ring), so this
-// model binds one filter lane to each input shard:
+// model binds one filter lane to each input shard; the paper's deployment
+// - one stream, whole records dealt round-robin to replicated pipelines -
+// is the same lanes fed by the facade's record router:
 //
 //   * the query is compiled once; every lane is a cheap clone sharing the
 //     compiled artifacts (DFA tables, gram sets),
@@ -12,7 +13,7 @@
 //     so a full lane pushes back on its producer instead of queueing
 //     unbounded ingress (the lane's engine still assembles one in-flight
 //     record at a time, so memory per lane is FIFO + longest record),
-//   * pump() drains the FIFOs through the lanes' chunked scan path;
+//   * pump() drains the FIFOs through the lanes' chunked filter engines;
 //     decisions accumulate per shard and merge into one report,
 //   * with options.worker_threads > 1 the lanes drain on a util::thread_pool
 //     - one task per lane per pump/finish - which is where the model stops
@@ -22,11 +23,10 @@
 //     per-shard decisions and the cycle-quantized report are byte-identical
 //     to the serial path for every worker count (asserted by
 //     system_concurrency_test),
-//   * the cycle-quantized accounting carries over from filter_system: every
-//     lane consumes one byte per cycle, DMA burst descriptors charge setup
+//   * the cycle-quantized accounting is system::model_report: every lane
+//     consumes one byte per cycle, DMA burst descriptors charge setup
 //     cycles on the shared ingress bus, and the slowest lane bounds the
-//     wall time, so lane imbalance shows up as stall cycles exactly as in
-//     the paper-reproduction path.
+//     wall time, so lane imbalance shows up as stall cycles.
 //
 // Thread-safety contract: offer(), pump(), finish() and report() may be
 // called from any thread, concurrently. decisions() returns a reference
@@ -76,19 +76,15 @@ struct sharded_report {
   std::string to_string() const;
 };
 
-/// N independent input streams filtered by N lanes of one compiled query.
+/// N independent input streams filtered by N lanes of one compiled plan.
 class sharded_filter_system {
  public:
   /// `shards` lanes are created; options.lanes is ignored (the stream/lane
-  /// binding is 1:1 in sharded mode). options.worker_threads > 1 starts a
-  /// pool that pump()/finish() fan the lanes out over.
-  sharded_filter_system(core::expr_ptr expr, std::size_t shards,
-                        system_options options = {});
-
-  /// Multi-tenant lanes: every shard runs one shared engine layout
-  /// evaluating all N queries per record. Decision bitmaps ride along with
-  /// the any-match decisions (take_decisions). A one-element vector is
-  /// the single-query system exactly.
+  /// binding is 1:1). Every lane runs one shared chunked engine layout
+  /// evaluating all the queries per record; decision bitmaps ride along
+  /// with the any-match decisions (take_decisions), and a one-element
+  /// vector is the single-query engine exactly. options.worker_threads > 1
+  /// starts a pool that pump()/finish() fan the lanes out over.
   sharded_filter_system(std::vector<core::expr_ptr> queries,
                         std::size_t shards, system_options options = {});
 
@@ -161,8 +157,7 @@ class sharded_filter_system {
 
   /// Convenience driver: run one full stream per shard to completion -
   /// one memory_source per stream handed to a concurrent_runner, which
-  /// offers DMA-burst-sized slices with pump() interleaved. The sharded
-  /// analogue of filter_system::run.
+  /// offers pump-burst-sized slices with pump() interleaved.
   sharded_report run(std::span<const std::string_view> streams);
 
   const system_options& options() const noexcept { return options_; }

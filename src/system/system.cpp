@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "json/ndjson.hpp"
-#include "util/error.hpp"
-
 namespace jrf::system {
 
 std::string throughput_report::to_string() const {
@@ -56,65 +53,6 @@ throughput_report model_report(const system_options& options,
           ? static_cast<double>(report.bytes) / report.seconds / 1e9
           : 0.0;
   return report;
-}
-
-filter_system::filter_system(core::expr_ptr expr, system_options options)
-    : options_(options), expr_(std::move(expr)) {
-  if (options_.lanes < 1) throw error("filter system: need at least one lane");
-  if (options_.dma_burst_bytes == 0)
-    throw error("filter system: zero DMA burst size");
-  // Compile the query once; every further lane clones the first, sharing
-  // the immutable compile artifacts instead of re-running DFA construction.
-  lanes_.push_back(
-      core::make_filter_engine(options_.engine, expr_, options_.filter));
-  for (int lane = 1; lane < options_.lanes; ++lane)
-    lanes_.push_back(lanes_.front()->clone());
-}
-
-filter_system::filter_system(std::vector<core::expr_ptr> queries,
-                             system_options options)
-    : options_(options) {
-  if (options_.lanes < 1) throw error("filter system: need at least one lane");
-  if (options_.dma_burst_bytes == 0)
-    throw error("filter system: zero DMA burst size");
-  // One shared multi-query compile (engines interned by spec key), then
-  // cheap clones - exactly the single-query sharing story, N queries wide.
-  lanes_.push_back(
-      core::make_filter_engine(options_.engine, std::move(queries),
-                               options_.filter));
-  expr_ = lanes_.front()->expression();
-  for (int lane = 1; lane < options_.lanes; ++lane)
-    lanes_.push_back(lanes_.front()->clone());
-}
-
-throughput_report filter_system::run(std::string_view stream) {
-  const auto records =
-      json::split_records(stream, options_.filter.separator);
-
-  // Whole records are dealt round-robin; each lane consumes one byte per
-  // cycle, so the slowest lane sets the filtering time.
-  std::vector<std::uint64_t> lane_bytes(
-      static_cast<std::size_t>(options_.lanes), 0);
-  std::uint64_t accepted = 0;
-  decisions_.assign(records.size(), false);
-  const bool multi = query_count() > 1;
-  const std::size_t wpr = words_per_record();
-  decision_words_.assign(multi ? records.size() * wpr : 0, 0);
-  for (std::size_t r = 0; r < records.size(); ++r) {
-    const std::size_t lane = r % static_cast<std::size_t>(options_.lanes);
-    lane_bytes[lane] += records[r].size() + 1;  // + separator byte
-    decisions_[r] =
-        multi ? lanes_[lane]->accepts_bits(records[r],
-                                           decision_words_.data() + r * wpr)
-              : lanes_[lane]->accepts(records[r]);
-    if (decisions_[r]) ++accepted;
-  }
-  const std::uint64_t slowest =
-      lane_bytes.empty()
-          ? 0
-          : *std::max_element(lane_bytes.begin(), lane_bytes.end());
-  return model_report(options_, stream.size(), records.size(), accepted,
-                      slowest);
 }
 
 }  // namespace jrf::system

@@ -6,23 +6,20 @@
 // inflated JSON moved through DMA achieved 1.33 GB/s, enough for a 10 GbE
 // line rate of 1.25 GB/s.
 //
-// This module reproduces that bandwidth accounting with a cycle-quantized
-// simulation: a DMA engine streams bursts from memory, a dispatcher deals
-// whole records round-robin to the lanes, each lane filters one byte per
-// cycle (using the behavioural engines, which the RTL suite proves
-// cycle-equivalent to the netlist), and match flags are written back. The
+// This module holds that bandwidth accounting: a cycle-quantized model in
+// which a DMA engine streams bursts from memory, whole records are dealt to
+// the lanes, and each lane filters one byte per cycle (the behavioural
+// engines, which the RTL suite proves cycle-equivalent to the netlist). The
 // model charges DMA burst-setup overhead and lane-imbalance stalls - the
 // two effects that separate the measured 1.33 GB/s from the 1.4 GB/s
-// theoretical peak.
+// theoretical peak. The lanes themselves run in sharded.hpp: the Figure-4
+// system is one sharded lane per replicated pipeline, records dealt
+// round-robin by the jrf::pipeline facade.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <string_view>
-#include <vector>
 
-#include "core/expr.hpp"
 #include "core/filter_engine.hpp"
 
 namespace jrf::system {
@@ -43,9 +40,6 @@ struct system_options {
   // the calling thread). Decisions and the cycle-quantized accounting are
   // identical for every value; only host wall-clock differs.
   std::size_t worker_threads = 0;
-  // Software hot path the lanes run on. Decisions and the cycle-quantized
-  // accounting are identical for both; only host wall-clock differs.
-  core::engine_kind engine = core::engine_kind::chunked;
   // filter.simd selects the vector tier of the lanes' bulk scans
   // (automatic = runtime CPU dispatch); decisions are identical at every
   // level.
@@ -66,62 +60,15 @@ struct throughput_report {
   std::string to_string() const;
 };
 
-/// The cycle-quantized Figure-4 accounting, shared by every execution path
-/// (filter_system::run, the sharded system, the jrf::pipeline facade):
-/// the slowest lane bounds the filtering time, every DMA burst descriptor
-/// charges setup cycles on the shared ingress bus, and the gap to the
-/// perfectly balanced distribution shows up as stall cycles. A zero-byte
-/// run reports all-zero rates (no NaN/inf).
+/// The cycle-quantized Figure-4 accounting behind the sharded system's
+/// report (and so every jrf::pipeline result): the slowest lane bounds the
+/// filtering time, every DMA burst descriptor charges setup cycles on the
+/// shared ingress bus, and the gap to the perfectly balanced distribution
+/// shows up as stall cycles. A zero-byte run reports all-zero rates (no
+/// NaN/inf).
 throughput_report model_report(const system_options& options,
                                std::uint64_t bytes, std::uint64_t records,
                                std::uint64_t accepted,
                                std::uint64_t slowest_lane_bytes);
-
-/// Streams `stream` through the modelled system once and reports the
-/// achieved bandwidth. All lanes run the same compiled filter expression
-/// (the paper's deployment: one query, replicated pipelines): the query is
-/// compiled once and every further lane is a cheap clone sharing the
-/// compiled artifacts (DFA tables, gram sets).
-class filter_system {
- public:
-  filter_system(core::expr_ptr expr, system_options options = {});
-
-  /// Multi-tenant deployment: every lane runs ONE shared engine layout
-  /// evaluating all N queries per record (engines interned by spec key).
-  /// decisions() stays the any-match verdict - `accepted` and the modeled
-  /// report keep their meaning of "records forwarded to the CPU" - and
-  /// decision_words() carries the per-record per-query bitmap. A
-  /// one-element vector is the single-query system exactly.
-  filter_system(std::vector<core::expr_ptr> queries,
-                system_options options = {});
-
-  throughput_report run(std::string_view stream);
-
-  /// Per-record decisions of the last run (lane-merged, stream order;
-  /// any-match for multi-query systems).
-  const std::vector<bool>& decisions() const noexcept { return decisions_; }
-
-  /// Per-record decision bitmaps of the last run, words_per_record()
-  /// little-endian words per record, bit q = query q (dense order).
-  /// Empty for single-query systems.
-  const std::vector<std::uint64_t>& decision_words() const noexcept {
-    return decision_words_;
-  }
-  std::size_t query_count() const noexcept {
-    return lanes_.front()->query_count();
-  }
-  std::size_t words_per_record() const noexcept {
-    return lanes_.front()->words_per_record();
-  }
-
-  const system_options& options() const noexcept { return options_; }
-
- private:
-  system_options options_;
-  core::expr_ptr expr_;
-  std::vector<std::unique_ptr<core::filter_engine>> lanes_;
-  std::vector<bool> decisions_;
-  std::vector<std::uint64_t> decision_words_;
-};
 
 }  // namespace jrf::system

@@ -1,15 +1,15 @@
 // jrf::pipeline facade suite (tier-1).
 //
 // Two halves:
-//   * equivalence - for every backend the facade's per-record decisions are
-//     byte-identical to the layer it fronts (filter_engine, filter_system,
-//     sharded_filter_system), across riotbench queries x datasets x worker
-//     counts, batch and streaming surfaces alike;
+//   * equivalence - the facade's per-record decisions are byte-identical to
+//     the byte-serial raw_filter reference, across riotbench queries x
+//     datasets x shard counts x worker counts, batch and streaming
+//     surfaces alike;
 //   * error paths - build()/run()/offer()/finish() never throw across the
 //     API boundary: malformed query text comes back as an expected error
 //     carrying the parse_error byte offset, and invalid configurations
-//     (zero lanes / FIFO / burst / shards, duplicate query sources, missing
-//     input files) are diagnosed without aborting.
+//     (zero FIFO / burst / shards, duplicate query sources, missing input
+//     files) are diagnosed without aborting.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -19,15 +19,16 @@
 
 #include "api/pipeline.hpp"
 #include "core/filter_engine.hpp"
+#include "core/raw_filter.hpp"
 #include "data/smartcity.hpp"
 #include "data/stream.hpp"
 #include "data/taxi.hpp"
+#include "data/twitter.hpp"
 #include "query/compile.hpp"
 #include "query/eval.hpp"
 #include "query/parse.hpp"
 #include "query/riotbench.hpp"
 #include "system/sharded.hpp"
-#include "system/system.hpp"
 #include "util/error.hpp"
 
 namespace {
@@ -53,125 +54,94 @@ const std::vector<workload>& workloads() {
   return cases;
 }
 
-std::vector<bool> facade_decisions(const workload& w, backend_kind kind) {
-  auto built = pipeline::make()
-                   .from_query(w.q)
-                   .backend(kind)
-                   .input(w.stream)
-                   .build();
+std::vector<bool> facade_decisions(const workload& w) {
+  auto built = pipeline::make().from_query(w.q).input(w.stream).build();
   EXPECT_TRUE(built.has_value()) << (built ? "" : built.error().message);
   auto result = built->run();
   EXPECT_TRUE(result.has_value()) << (result ? "" : result.error().message);
   return result->decisions;
 }
 
+/// Merge per-shard decisions back into stream order: record k of the
+/// merged input went to shard k % shards at index k / shards.
+std::vector<bool> interleave(const std::vector<std::vector<bool>>& shards) {
+  std::vector<bool> out;
+  for (std::size_t j = 0;; ++j) {
+    bool any = false;
+    for (const auto& shard : shards) {
+      if (j >= shard.size()) continue;
+      out.push_back(shard[j]);
+      any = true;
+    }
+    if (!any) return out;
+  }
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Equivalence: facade vs the layer each backend fronts.
+// Equivalence: facade vs the byte-serial raw_filter reference.
 
-TEST(ApiPipelineEquivalence, ScalarAndChunkedMatchFilterEngine) {
-  for (const workload& w : workloads()) {
-    const core::expr_ptr rf = query::compile_default(w.q);
-    for (const core::engine_kind kind :
-         {core::engine_kind::scalar, core::engine_kind::chunked}) {
-      const auto reference =
-          core::make_filter_engine(kind, rf)->filter_stream(w.stream);
-      const auto facade = facade_decisions(
-          w, kind == core::engine_kind::scalar ? backend_kind::scalar
-                                               : backend_kind::chunked);
-      EXPECT_EQ(facade, reference)
-          << w.name << " " << core::to_string(kind);
+TEST(ApiPipelineEquivalence, OracleSweep) {
+  // Every riotbench query over every dataset, through every surface of
+  // the one execution path, against the scalar raw_filter reference.
+  data::smartcity_generator city;
+  data::taxi_generator taxi;
+  data::twitter_generator tweets;
+  const std::vector<std::pair<std::string, std::string>> datasets{
+      {"smartcity", city.stream(300)},
+      {"taxi", taxi.stream(300)},
+      {"twitter", tweets.stream(300)}};
+  const std::vector<std::pair<std::string, query::query>> queries{
+      {"qs0", query::riotbench::qs0()},
+      {"qs1", query::riotbench::qs1()},
+      {"qt", query::riotbench::qt()}};
+  for (const auto& [qname, q] : queries) {
+    const core::expr_ptr rf = query::compile_default(q);
+    for (const auto& [dname, stream] : datasets) {
+      const std::vector<bool> oracle =
+          core::raw_filter(rf).filter_stream(stream);
+      for (const std::size_t shards : {std::size_t{1}, std::size_t{3},
+                                       std::size_t{7}}) {
+        const std::string where =
+            qname + "/" + dname + " shards=" + std::to_string(shards);
+        const auto feeds = data::shard_records(stream, shards);
+
+        // Batch run(), one bound input per shard, serial and pooled.
+        for (const std::size_t workers : {std::size_t{0}, std::size_t{2}}) {
+          auto builder = pipeline::make();
+          builder.from_query(q).worker_threads(workers);
+          for (const std::string& feed : feeds) builder.input(feed);
+          auto built = builder.build();
+          ASSERT_TRUE(built.has_value()) << built.error().message;
+          auto result = built->run();
+          ASSERT_TRUE(result.has_value()) << result.error().message;
+          EXPECT_EQ(interleave(result->shard_decisions), oracle)
+              << where << " run() workers=" << workers;
+        }
+
+        // Routed offer(bytes): ragged chunks dealt record by record.
+        auto built = pipeline::make().from_query(q).shards(shards).build();
+        ASSERT_TRUE(built.has_value()) << built.error().message;
+        std::string_view rest = stream;
+        while (!rest.empty()) {
+          const std::size_t step = std::min<std::size_t>(61, rest.size());
+          ASSERT_TRUE(built->offer(rest.substr(0, step)).has_value());
+          rest.remove_prefix(step);
+        }
+        auto result = built->finish();
+        ASSERT_TRUE(result.has_value()) << result.error().message;
+        EXPECT_EQ(interleave(result->shard_decisions), oracle)
+            << where << " routed offer";
+        EXPECT_EQ(result->records(), oracle.size()) << where;
+      }
     }
-  }
-}
-
-TEST(ApiPipelineEquivalence, SystemBackendMatchesFilterSystem) {
-  for (const workload& w : workloads()) {
-    const core::expr_ptr rf = query::compile_default(w.q);
-    for (const int lanes : {1, 3, 7}) {
-      system::system_options so;
-      so.lanes = lanes;
-      system::filter_system reference(rf, so);
-      const auto reference_report = reference.run(w.stream);
-
-      auto built = pipeline::make()
-                       .from_query(w.q)
-                       .backend(backend_kind::system)
-                       .lanes(lanes)
-                       .input(w.stream)
-                       .build();
-      ASSERT_TRUE(built.has_value()) << built.error().message;
-      auto result = built->run();
-      ASSERT_TRUE(result.has_value()) << result.error().message;
-
-      EXPECT_EQ(result->decisions, reference.decisions())
-          << w.name << " lanes=" << lanes;
-      // The facade reuses system::model_report, so the whole cycle-model
-      // accounting matches, not just the verdict counts.
-      EXPECT_EQ(result->report.bytes, reference_report.bytes);
-      EXPECT_EQ(result->report.records, reference_report.records);
-      EXPECT_EQ(result->report.accepted, reference_report.accepted);
-      EXPECT_EQ(result->report.cycles, reference_report.cycles);
-      EXPECT_EQ(result->report.stall_cycles, reference_report.stall_cycles);
-      EXPECT_DOUBLE_EQ(result->report.gbytes_per_second,
-                       reference_report.gbytes_per_second);
-    }
-  }
-}
-
-TEST(ApiPipelineEquivalence, ShardedBackendMatchesShardedSystem) {
-  for (const workload& w : workloads()) {
-    const core::expr_ptr rf = query::compile_default(w.q);
-    const auto shards = data::shard_records(w.stream, 5);
-    const std::vector<std::string_view> views{shards.begin(), shards.end()};
-
-    for (const std::size_t workers : {std::size_t{0}, std::size_t{2},
-                                      std::size_t{4}}) {
-      system::system_options so;
-      so.worker_threads = workers;
-      system::sharded_filter_system reference(rf, views.size(), so);
-      const auto reference_report = reference.run(views);
-
-      auto builder = pipeline::make();
-      builder.from_query(w.q)
-          .backend(backend_kind::sharded)
-          .worker_threads(workers);
-      for (const std::string_view view : views) builder.input(view);
-      auto built = builder.build();
-      ASSERT_TRUE(built.has_value()) << built.error().message;
-      auto result = built->run();
-      ASSERT_TRUE(result.has_value()) << result.error().message;
-
-      ASSERT_EQ(result->shard_decisions.size(), views.size());
-      for (std::size_t s = 0; s < views.size(); ++s)
-        EXPECT_EQ(result->shard_decisions[s], reference.decisions(s))
-            << w.name << " workers=" << workers << " shard=" << s;
-      EXPECT_EQ(result->report.accepted, reference_report.accepted);
-      EXPECT_EQ(result->report.records, reference_report.records);
-      EXPECT_EQ(result->report.cycles, reference_report.cycles);
-      ASSERT_EQ(result->shards.size(), reference_report.shards.size());
-      for (std::size_t s = 0; s < views.size(); ++s)
-        EXPECT_EQ(result->shards[s].bytes, reference_report.shards[s].bytes);
-    }
-  }
-}
-
-TEST(ApiPipelineEquivalence, AllBackendsAgreeOnDecisions) {
-  // One stream, every backend: the merged decision vector is identical
-  // (sharded with a single input degenerates to one lane, stream order).
-  for (const workload& w : workloads()) {
-    const auto scalar = facade_decisions(w, backend_kind::scalar);
-    ASSERT_FALSE(scalar.empty());
-    EXPECT_EQ(facade_decisions(w, backend_kind::chunked), scalar) << w.name;
-    EXPECT_EQ(facade_decisions(w, backend_kind::system), scalar) << w.name;
-    EXPECT_EQ(facade_decisions(w, backend_kind::sharded), scalar) << w.name;
   }
 }
 
 TEST(ApiPipelineEquivalence, NoFalseNegativesThroughTheFacade) {
   for (const workload& w : workloads()) {
-    const auto decisions = facade_decisions(w, backend_kind::system);
+    const auto decisions = facade_decisions(w);
     const auto check =
         query::verify_no_false_negatives(w.q, w.stream, decisions);
     EXPECT_GT(check.true_matches, 0u) << w.name;
@@ -183,14 +153,13 @@ TEST(ApiPipelineEquivalence, NoFalseNegativesThroughTheFacade) {
 // ---------------------------------------------------------------------------
 // Streaming surface: offer()/pump()/finish() and the decision sink.
 
-TEST(ApiPipelineStreaming, ChunkedStreamingMatchesBatch) {
+TEST(ApiPipelineStreaming, StreamingMatchesBatch) {
   const workload& w = workloads().front();
-  const auto batch = facade_decisions(w, backend_kind::chunked);
+  const auto batch = facade_decisions(w);
 
   std::vector<std::pair<std::size_t, bool>> sunk;
   auto built = pipeline::make()
                    .from_query(w.q)
-                   .backend(backend_kind::chunked)
                    .on_decision([&](std::size_t shard, std::uint64_t index,
                                     bool accepted) {
                      EXPECT_EQ(shard, 0u);
@@ -219,28 +188,6 @@ TEST(ApiPipelineStreaming, ChunkedStreamingMatchesBatch) {
   }
 }
 
-TEST(ApiPipelineStreaming, SystemStreamingMatchesFilterSystem) {
-  const workload& w = workloads().back();
-  const core::expr_ptr rf = query::compile_default(w.q);
-  system::filter_system reference(rf);
-  reference.run(w.stream);
-
-  auto built = pipeline::make()
-                   .from_query(w.q)
-                   .backend(backend_kind::system)
-                   .build();
-  ASSERT_TRUE(built.has_value()) << built.error().message;
-  std::string_view rest = w.stream;
-  while (!rest.empty()) {
-    const std::size_t step = std::min<std::size_t>(61, rest.size());
-    ASSERT_TRUE(built->offer(rest.substr(0, step)).has_value());
-    rest.remove_prefix(step);
-  }
-  auto result = built->finish();
-  ASSERT_TRUE(result.has_value()) << result.error().message;
-  EXPECT_EQ(result->decisions, reference.decisions());
-}
-
 TEST(ApiPipelineStreaming, ShardedStreamingUnderBackpressure) {
   const workload& w = workloads().front();
   const auto shards = data::shard_records(w.stream, 3);
@@ -248,7 +195,6 @@ TEST(ApiPipelineStreaming, ShardedStreamingUnderBackpressure) {
   std::vector<std::vector<bool>> sunk(shards.size());
   auto built = pipeline::make()
                    .from_query(w.q)
-                   .backend(backend_kind::sharded)
                    .shards(shards.size())
                    .worker_threads(2)
                    .lane_fifo_bytes(256)  // far smaller than the offers
@@ -275,7 +221,7 @@ TEST(ApiPipelineStreaming, ShardedStreamingUnderBackpressure) {
   // Decisions per shard equal a fresh serial sharded run of the same feeds.
   const core::expr_ptr rf = query::compile_default(w.q);
   const std::vector<std::string_view> views{shards.begin(), shards.end()};
-  system::sharded_filter_system reference(rf, views.size());
+  system::sharded_filter_system reference({rf}, views.size());
   reference.run(views);
   for (std::size_t s = 0; s < shards.size(); ++s) {
     EXPECT_EQ(result->shard_decisions[s], reference.decisions(s));
@@ -290,7 +236,6 @@ TEST(ApiPipelineStreaming, TryOfferPartialAbsorptionUnderFullFifo) {
   const workload& w = workloads().front();
   auto built = pipeline::make()
                    .from_query(w.q)
-                   .backend(backend_kind::sharded)
                    .shards(1)
                    .lane_fifo_bytes(64)
                    .build();
@@ -352,7 +297,6 @@ TEST(ApiPipelineStreaming, TryOfferMatchesOfferDecisions) {
       auto make = [&] {
         auto builder = pipeline::make();
         builder.from_query(w.q)
-            .backend(backend_kind::sharded)
             .shards(shards.size())
             .worker_threads(workers)
             .lane_fifo_bytes(512);
@@ -394,7 +338,7 @@ TEST(ApiPipelineStreaming, ReentrantSinkDoesNotDeadlock) {
   // the non-recursive lock. Decisions are now handed over outside every
   // internal lock - this test re-enters both calls from inside the sink.
   const workload& w = workloads().front();
-  const auto batch = facade_decisions(w, backend_kind::chunked);
+  const auto batch = facade_decisions(w);
 
   pipeline* self = nullptr;
   const std::string extra = "{\"e\":[]}\n";
@@ -402,7 +346,6 @@ TEST(ApiPipelineStreaming, ReentrantSinkDoesNotDeadlock) {
   bool reentered = false;
   auto built = pipeline::make()
                    .from_query(w.q)
-                   .backend(backend_kind::chunked)
                    .on_decision([&](std::size_t, std::uint64_t index,
                                     bool accepted) {
                      EXPECT_EQ(index, sunk.size());  // order survives
@@ -454,7 +397,6 @@ TEST(ApiPipelineStreaming, ConvenienceOfferRoundRobinsAcrossShards) {
     std::vector<std::vector<bool>> sunk(shards.size());
     auto built = pipeline::make()
                      .from_query(w.q)
-                     .backend(backend_kind::sharded)
                      .shards(shards.size())
                      .on_decision([&](std::size_t shard, std::uint64_t index,
                                       bool accepted) {
@@ -476,7 +418,7 @@ TEST(ApiPipelineStreaming, ConvenienceOfferRoundRobinsAcrossShards) {
 
     const core::expr_ptr rf = query::compile_default(w.q);
     const std::vector<std::string_view> views{shards.begin(), shards.end()};
-    system::sharded_filter_system reference(rf, views.size());
+    system::sharded_filter_system reference({rf}, views.size());
     reference.run(views);
     for (std::size_t s = 0; s < shards.size(); ++s) {
       EXPECT_EQ(result->shard_decisions[s], reference.decisions(s))
@@ -561,26 +503,16 @@ TEST(ApiPipelineErrors, ConfigurationValidation) {
                    .build();
   ASSERT_FALSE(twice.has_value());
 
-  // Zero lanes on the system backend.
-  auto zero_lanes = pipeline::make()
-                        .from_query(q)
-                        .backend(backend_kind::system)
-                        .lanes(0)
-                        .build();
-  ASSERT_FALSE(zero_lanes.has_value());
-
-  // Zero-byte lane FIFO on the sharded backend.
+  // Zero-byte lane FIFO.
   auto zero_fifo = pipeline::make()
                        .from_query(q)
-                       .backend(backend_kind::sharded)
                        .lane_fifo_bytes(0)
                        .build();
   ASSERT_FALSE(zero_fifo.has_value());
 
-  // Zero shards without bound inputs on the sharded backend.
+  // Zero shards without bound inputs.
   auto zero_shards = pipeline::make()
                          .from_query(q)
-                         .backend(backend_kind::sharded)
                          .shards(0)
                          .build();
   ASSERT_FALSE(zero_shards.has_value());
@@ -615,7 +547,7 @@ TEST(ApiPipelineErrors, SurfaceMisuseIsDiagnosed) {
   ASSERT_FALSE(streaming->offer(stream).has_value());  // after finish
   ASSERT_FALSE(streaming->finish().has_value());       // double finish
 
-  // Out-of-range shard on a single-stream backend.
+  // Out-of-range shard on a single-shard pipeline.
   auto single = pipeline::make().from_query(q).build();
   ASSERT_TRUE(single.has_value());
   ASSERT_FALSE(single->offer(3, stream).has_value());
@@ -632,61 +564,59 @@ TEST(ApiPipelineErrors, SurfaceMisuseIsDiagnosed) {
             std::string::npos);
 }
 
-TEST(ApiPipelineEquivalence, BlankLineHeavyStreamDoesNotUnderflowStalls) {
-  // Blank lines carry bytes to no lane, so the slowest lane can finish in
-  // fewer cycles than the balanced distribution of raw bytes; the stall
-  // accounting must clamp at zero instead of wrapping the unsigned math.
-  std::string stream = "{\"a\":1}\n";
-  stream.append(50000, '\n');
-  auto built = pipeline::make()
-                   .filter_expression("(0 <= \"a\" <= 9)")
-                   .backend(backend_kind::system)
-                   .lanes(7)
-                   .input(stream)
-                   .build();
-  ASSERT_TRUE(built.has_value()) << built.error().message;
-  auto result = built->run();
-  ASSERT_TRUE(result.has_value()) << result.error().message;
-  EXPECT_EQ(result->records(), 1u);
-  EXPECT_LE(result->report.stall_cycles, result->report.cycles);
-}
-
 TEST(ApiPipelineEquivalence, CustomSeparatorConsistentAcrossBackends) {
-  // ';'-separated records: the system backend's record dealing must frame
-  // on the configured separator byte exactly like the engine backends.
-  const std::string stream = "{\"a\":\"1\"};{\"a\":\"7\"};{\"a\":\"3\"};";
-  const char* expr = "(0 <= \"a\" <= 5)";
-  std::vector<std::vector<bool>> per_backend;
-  for (const backend_kind kind :
-       {backend_kind::scalar, backend_kind::chunked, backend_kind::system,
-        backend_kind::sharded}) {
-    auto built = pipeline::make()
-                     .filter_expression(expr)
-                     .separator(';')
-                     .backend(kind)
-                     .input(stream)
-                     .build();
-    ASSERT_TRUE(built.has_value()) << built.error().message;
-    auto result = built->run();
-    ASSERT_TRUE(result.has_value()) << result.error().message;
-    per_backend.push_back(result->decisions);
+  // ';'-separated records: one shard, records routed across three shards
+  // and the raw_filter reference all frame on the configured separator
+  // byte - and never on one inside a JSON string literal, which would
+  // split a true match into pieces that no longer match.
+  struct separator_case {
+    std::string stream;
+    const char* expr;
+    std::vector<bool> expected;
+  };
+  const std::vector<separator_case> cases{
+      {"{\"a\":\"1\"};{\"a\":\"7\"};{\"a\":\"3\"};", "(0 <= \"a\" <= 5)",
+       {true, false, true}},
+      {"{\"a\":\"x;y\",\"b\":3};{\"b\":9};", "(0 <= \"b\" <= 5)",
+       {true, false}},
+  };
+  for (const separator_case& c : cases) {
+    auto make = [&](std::size_t shards) {
+      return pipeline::make()
+          .filter_expression(c.expr)
+          .separator(';')
+          .shards(shards)
+          .build();
+    };
+    auto one = make(1);
+    ASSERT_TRUE(one.has_value()) << one.error().message;
+    ASSERT_TRUE(one->offer(0, c.stream).has_value());
+    auto one_result = one->finish();
+    ASSERT_TRUE(one_result.has_value()) << one_result.error().message;
+    EXPECT_EQ(one_result->decisions, c.expected) << c.stream;
+
+    auto routed = make(3);
+    ASSERT_TRUE(routed.has_value()) << routed.error().message;
+    ASSERT_TRUE(routed->offer(c.stream).has_value());
+    auto routed_result = routed->finish();
+    ASSERT_TRUE(routed_result.has_value()) << routed_result.error().message;
+    EXPECT_EQ(interleave(routed_result->shard_decisions), c.expected)
+        << c.stream;
+
+    core::filter_options options;
+    options.separator = ';';
+    const core::expr_ptr rf = query::compile_default(
+        query::parse_filter_expression(c.expr));
+    EXPECT_EQ(core::raw_filter(rf, options).filter_stream(c.stream),
+              c.expected)
+        << c.stream;
   }
-  const std::vector<bool> expected{true, false, true};
-  for (const auto& decisions : per_backend) EXPECT_EQ(decisions, expected);
 }
 
-TEST(ApiPipelineErrors, NullSourceDiagnosedOnEveryBackend) {
+TEST(ApiPipelineErrors, NullSourceIsDiagnosed) {
   const query::query q = query::riotbench::q0();
-  for (const backend_kind kind :
-       {backend_kind::scalar, backend_kind::chunked, backend_kind::system,
-        backend_kind::sharded}) {
-    auto built = pipeline::make()
-                     .from_query(q)
-                     .backend(kind)
-                     .source(nullptr)
-                     .build();
-    EXPECT_FALSE(built.has_value()) << to_string(kind);
-  }
+  auto built = pipeline::make().from_query(q).source(nullptr).build();
+  EXPECT_FALSE(built.has_value());
 }
 
 TEST(ApiPipelineErrors, ShardCountConflictingWithInputsIsDiagnosed) {
@@ -694,7 +624,6 @@ TEST(ApiPipelineErrors, ShardCountConflictingWithInputsIsDiagnosed) {
   const std::string stream = "{\"e\":[{\"n\":\"t\",\"v\":\"1\"}]}\n";
   auto conflicting = pipeline::make()
                          .from_query(q)
-                         .backend(backend_kind::sharded)
                          .shards(5)
                          .input(stream)
                          .input(stream)
@@ -705,7 +634,6 @@ TEST(ApiPipelineErrors, ShardCountConflictingWithInputsIsDiagnosed) {
   // A matching explicit count is fine.
   auto matching = pipeline::make()
                       .from_query(q)
-                      .backend(backend_kind::sharded)
                       .shards(2)
                       .input(stream)
                       .input(stream)
@@ -741,7 +669,7 @@ TEST(ApiPipelineErrors, BuilderReuseIsDiagnosedNotUndefined) {
   ASSERT_TRUE(builder.build().has_value());
   // Setters on a spent builder must stay memory-safe, and a second build()
   // must come back as a diagnosed error, not a crash.
-  builder.lanes(2).backend(backend_kind::system);
+  builder.shards(2).backend(backend_kind::sharded);
   auto again = builder.build();
   ASSERT_FALSE(again.has_value());
   EXPECT_NE(again.error().message.find("already consumed"),

@@ -1,10 +1,10 @@
 // Multi-tenant surface of the jrf::pipeline facade (PR 8 tentpole):
 // builder-time query fleets, per-query decision columns in run_result,
 // verdict-bitmap sinks, and the runtime add_query()/remove_query() epoch
-// swap exercised mid-stream - on the chunked backend deterministically
-// (exact first_record accounting, including a swap landing inside a
-// record, which forces the carry replay) and on the sharded backend with
-// worker threads plus concurrent producers (the TSan target). Every
+// swap exercised mid-stream - on one shard deterministically (exact
+// first_record accounting, including a swap landing inside a record, which
+// forces the carry replay), across routed shards, and with worker threads
+// plus concurrent producers (the TSan target). Every
 // column is held byte-identical to running that query alone.
 #include <gtest/gtest.h>
 
@@ -78,7 +78,6 @@ TEST(ApiQuerySet, BuilderFleetColumnsMatchStandaloneRuns) {
   const char* text = R"((0.7 <= "temperature" <= 35.1))";
   auto single = pipeline::make()
                     .filter_expression(text)
-                    .backend(backend_kind::chunked)
                     .input(telemetry())
                     .build();
   ASSERT_TRUE(single.has_value()) << single.error().message;
@@ -92,7 +91,6 @@ TEST(ApiQuerySet, BuilderFleetColumnsMatchStandaloneRuns) {
                    .from_query(query::riotbench::qs0())
                    .add_raw_filter(second_expr())
                    .add_filter_expression(text)
-                   .backend(backend_kind::chunked)
                    .input(telemetry())
                    .build();
   ASSERT_TRUE(built.has_value()) << built.error().message;
@@ -137,7 +135,6 @@ TEST(ApiQuerySet, VerdictSinkReceivesEpochConsistentBitmaps) {
   auto built = pipeline::make()
                    .from_query(query::riotbench::qs0())
                    .add_raw_filter(second_expr())
-                   .backend(backend_kind::chunked)
                    .on_verdict([&](std::size_t shard, std::uint64_t index,
                                    std::span<const core::query_id> ids,
                                    std::span<const std::uint64_t> words) {
@@ -166,7 +163,7 @@ TEST(ApiQuerySet, VerdictSinkReceivesEpochConsistentBitmaps) {
 // ---------------------------------------------------------------------------
 // Runtime add/remove mid-stream (the epoch swap).
 
-TEST(ApiQuerySet, RuntimeAddMidStreamOnChunkedBackend) {
+TEST(ApiQuerySet, RuntimeAddMidStreamOnOneShard) {
   const std::string& stream = telemetry();
   const std::vector<bool> col_a = standalone(primary_expr(), stream);
   const std::vector<bool> col_b = standalone(second_expr(), stream);
@@ -175,7 +172,6 @@ TEST(ApiQuerySet, RuntimeAddMidStreamOnChunkedBackend) {
 
   auto built = pipeline::make()
                    .from_query(query::riotbench::qs0())
-                   .backend(backend_kind::chunked)
                    .build();
   ASSERT_TRUE(built.has_value()) << built.error().message;
 
@@ -235,7 +231,6 @@ TEST(ApiQuerySet, RuntimeAddInsideARecordReplaysTheCarry) {
 
   auto built = pipeline::make()
                    .from_query(query::riotbench::qs0())
-                   .backend(backend_kind::chunked)
                    .build();
   ASSERT_TRUE(built.has_value()) << built.error().message;
   ASSERT_TRUE(built->offer(std::string_view(stream).substr(0, cut))
@@ -269,7 +264,6 @@ TEST(ApiQuerySet, RuntimeRemoveMidStreamEndsTheColumn) {
   auto built = pipeline::make()
                    .from_query(query::riotbench::qs0())
                    .add_raw_filter(second_expr())
-                   .backend(backend_kind::chunked)
                    .build();
   ASSERT_TRUE(built.has_value()) << built.error().message;
   ASSERT_TRUE(built->offer(std::string_view(stream).substr(0, cut))
@@ -302,20 +296,21 @@ TEST(ApiQuerySet, RuntimeRemoveMidStreamEndsTheColumn) {
         << "record " << r;
 }
 
-TEST(ApiQuerySet, RuntimeMutationOnSystemBackend) {
-  // The system backend (replicated lanes, records dealt round-robin) also
-  // supports the swap; the any-match stream must stay consistent with the
-  // residency intervals.
+TEST(ApiQuerySet, RuntimeMutationAcrossRoutedShards) {
+  // The Figure-4 layout (one stream, records dealt round-robin to
+  // replicated lanes via the shard-less offer) swaps too: on every shard
+  // the added query's column starts at that shard's share of the records
+  // offered before the swap.
   const std::string& stream = telemetry();
   const std::vector<bool> col_a = standalone(primary_expr(), stream);
   const std::vector<bool> col_b = standalone(second_expr(), stream);
+  constexpr std::size_t kShards = 3;
   constexpr std::size_t kSwapRecord = 80;
   const std::size_t cut = record_boundary(stream, kSwapRecord);
 
   auto built = pipeline::make()
                    .from_query(query::riotbench::qs0())
-                   .backend(backend_kind::system)
-                   .lanes(3)
+                   .shards(kShards)
                    .build();
   ASSERT_TRUE(built.has_value()) << built.error().message;
   ASSERT_TRUE(built->offer(std::string_view(stream).substr(0, cut))
@@ -327,14 +322,25 @@ TEST(ApiQuerySet, RuntimeMutationOnSystemBackend) {
   auto result = built->finish();
   ASSERT_TRUE(result.has_value()) << result.error().message;
 
-  const auto& columns = result->shard_query_columns.at(0);
-  const query_column* a = find_column(columns, 1);
-  const query_column* b = find_column(columns, *added);
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
-  EXPECT_EQ(a->decisions, col_a);
-  EXPECT_EQ(b->first_record, kSwapRecord);
-  EXPECT_EQ(b->decisions, slice(col_b, kSwapRecord));
+  ASSERT_EQ(result->shard_query_columns.size(), kShards);
+  for (std::size_t s = 0; s < kShards; ++s) {
+    // Shard s holds records s, s + kShards, ... of the merged stream.
+    std::vector<bool> shard_a;
+    std::vector<bool> shard_b;
+    for (std::size_t r = s; r < col_a.size(); r += kShards) {
+      shard_a.push_back(col_a[r]);
+      shard_b.push_back(col_b[r]);
+    }
+    const std::size_t before = (kSwapRecord + kShards - 1 - s) / kShards;
+    const auto& columns = result->shard_query_columns[s];
+    const query_column* a = find_column(columns, 1);
+    const query_column* b = find_column(columns, *added);
+    ASSERT_NE(a, nullptr) << "shard " << s;
+    ASSERT_NE(b, nullptr) << "shard " << s;
+    EXPECT_EQ(a->decisions, shard_a) << "shard " << s;
+    EXPECT_EQ(b->first_record, before) << "shard " << s;
+    EXPECT_EQ(b->decisions, slice(shard_b, before)) << "shard " << s;
+  }
 }
 
 TEST(ApiQuerySet, ShardedWorkersWithConcurrentProducers) {
@@ -350,7 +356,6 @@ TEST(ApiQuerySet, ShardedWorkersWithConcurrentProducers) {
 
   auto built = pipeline::make()
                    .from_query(query::riotbench::qs0())
-                   .backend(backend_kind::sharded)
                    .shards(2)
                    .worker_threads(2)
                    .build();
@@ -429,7 +434,6 @@ TEST(ApiQuerySet, AttachQuerySinkMidStream) {
 
   auto built = pipeline::make()
                    .from_query(query::riotbench::qs0())
-                   .backend(backend_kind::chunked)
                    .build();
   ASSERT_TRUE(built.has_value()) << built.error().message;
   ASSERT_TRUE(built->offer(std::string_view(stream).substr(0, cut))
@@ -450,46 +454,9 @@ TEST(ApiQuerySet, AttachQuerySinkMidStream) {
   EXPECT_EQ(indices.back(), col_a.size() - 1);
 }
 
-TEST(ApiQuerySet, AttachQuerySinkWorksOnScalarBackend) {
-  // Sink attachment is registry-only (no engine swap), so even the scalar
-  // backend - which rejects add/remove - supports it.
-  auto built = pipeline::make()
-                   .from_query(query::riotbench::qs0())
-                   .backend(backend_kind::scalar)
-                   .build();
-  ASSERT_TRUE(built.has_value()) << built.error().message;
-  std::vector<bool> seen;
-  ASSERT_TRUE(built
-                  ->on_query_decision(
-                      1, [&](std::size_t, std::uint64_t, bool accepted) {
-                        seen.push_back(accepted);
-                      })
-                  .has_value());
-  ASSERT_TRUE(built->offer(telemetry()).has_value());
-  ASSERT_TRUE(built->finish().has_value());
-  EXPECT_EQ(seen, standalone(primary_expr(), telemetry()));
-}
-
 TEST(ApiQuerySet, MutationErrorPaths) {
-  // Scalar backend: no take_carry, so add/remove are diagnosed up front.
-  auto scalar = pipeline::make()
-                    .from_query(query::riotbench::qs0())
-                    .backend(backend_kind::scalar)
-                    .build();
-  ASSERT_TRUE(scalar.has_value()) << scalar.error().message;
-  EXPECT_FALSE(scalar->add_query(second_expr()).has_value());
-
-  auto sharded_scalar = pipeline::make()
-                            .from_query(query::riotbench::qs0())
-                            .backend(backend_kind::sharded)
-                            .engine(core::engine_kind::scalar)
-                            .build();
-  ASSERT_TRUE(sharded_scalar.has_value()) << sharded_scalar.error().message;
-  EXPECT_FALSE(sharded_scalar->add_query(second_expr()).has_value());
-
   auto built = pipeline::make()
                    .from_query(query::riotbench::qs0())
-                   .backend(backend_kind::chunked)
                    .build();
   ASSERT_TRUE(built.has_value()) << built.error().message;
   // Null expression, malformed text, unknown ids, and the last resident
@@ -511,7 +478,6 @@ TEST(ApiQuerySet, MutationErrorPaths) {
 TEST(ApiQuerySet, RuntimeJsonpathAndTextCompile) {
   auto built = pipeline::make()
                    .from_query(query::riotbench::qs0())
-                   .backend(backend_kind::chunked)
                    .build();
   ASSERT_TRUE(built.has_value()) << built.error().message;
   auto by_text =
@@ -538,14 +504,12 @@ TEST(ApiQuerySet, RuntimeJsonpathAndTextCompile) {
 
   auto text_alone = pipeline::make()
                         .filter_expression(R"((0.7 <= "temperature" <= 35.1))")
-                        .backend(backend_kind::chunked)
                         .input(telemetry())
                         .build();
   ASSERT_TRUE(text_alone.has_value()) << text_alone.error().message;
   auto path_alone =
       pipeline::make()
           .jsonpath(R"($.e[?(@.n=="temperature" & @.v >= 0.7 & @.v <= 35.1)])")
-          .backend(backend_kind::chunked)
           .input(telemetry())
           .build();
   ASSERT_TRUE(path_alone.has_value()) << path_alone.error().message;

@@ -64,7 +64,6 @@ const std::string& telemetry() {
 pipeline_builder sharded_builder(std::size_t shards, std::size_t workers) {
   auto builder = pipeline::make();
   builder.from_query(query::riotbench::qs1())
-      .backend(backend_kind::sharded)
       .shards(shards)
       .worker_threads(workers);
   return builder;
@@ -113,7 +112,7 @@ TEST(NetService, ConcurrentConnectionsMatchReferenceShardedRun) {
 
   const core::expr_ptr rf = query::compile_default(query::riotbench::qs1());
   const std::vector<std::string_view> views{shards.begin(), shards.end()};
-  system::sharded_filter_system reference(rf, views.size());
+  system::sharded_filter_system reference({rf}, views.size());
   reference.run(views);
   ASSERT_EQ(result->shard_decisions.size(), shards.size());
   for (std::size_t s = 0; s < shards.size(); ++s)
@@ -333,7 +332,6 @@ TEST(NetService, QueryBitmapEchoOneLinePerRecord) {
   auto builder = pipeline::make();
   builder.from_query(query::riotbench::qs1())
       .add_query(query::riotbench::qs0())
-      .backend(backend_kind::sharded)
       .shards(1)
       .worker_threads(0);
 
@@ -465,7 +463,6 @@ TEST(NetService, ProjectionEchoComposesWithVerdictAndBitmapEcho) {
   auto builder = pipeline::make();
   builder.from_query(query::riotbench::qs1())
       .add_query(query::riotbench::qs0())
-      .backend(backend_kind::sharded)
       .shards(1)
       .worker_threads(0);
 

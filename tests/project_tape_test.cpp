@@ -12,7 +12,7 @@
 // The sweep runs the riotbench queries over both generated datasets across
 // every available SIMD tier, then the facade wiring: records straddling
 // offer() chunks, escaped strings (including \uXXXX), and the projection
-// batches every backend returns through run_result.
+// batches run() returns through run_result.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -361,14 +361,14 @@ TEST(ProjectTape, SenmlClaimsInnermostCompletionAndLastV) {
 
 namespace {
 
-// Run one workload through a facade backend with projection on and check
-// every batch row against the DOM reference.
+// Run one workload through a one-shard facade pipeline with projection on
+// and check every batch row against the DOM reference.
 void expect_projection_matches(const workload& w, run_result& result,
                                const std::string& where) {
   const project::path_set paths = project::derive_paths({w.q});
   const std::vector<std::string_view> records = split_records(w.stream);
-  // Accepted per-shard record index -> document (single-stream backends:
-  // the per-shard index IS the stream index).
+  // Accepted per-shard record index -> document (one shard: the per-shard
+  // index IS the stream index).
   std::size_t rows = 0;
   for (const project::column_batch& batch : result.projection) {
     EXPECT_EQ(batch.columns.size(), paths.size()) << where;
@@ -409,7 +409,6 @@ TEST(ProjectPipeline, ChunkStraddlingRecordsProjectExactly) {
   for (const workload& w : workloads()) {
     auto built = pipeline::make()
                      .from_query(w.q)
-                     .backend(backend_kind::chunked)
                      .project()
                      .projection_batch_rows(3)  // exercise partial flushes
                      .build();
@@ -426,23 +425,20 @@ TEST(ProjectPipeline, ChunkStraddlingRecordsProjectExactly) {
   }
 }
 
-TEST(ProjectPipeline, AllBackendsReturnIdenticalProjection) {
+TEST(ProjectPipeline, RunReturnsProjection) {
   for (const workload& w : workloads()) {
-    for (const backend_kind kind :
-         {backend_kind::chunked, backend_kind::system,
-          backend_kind::sharded}) {
+    for (const std::size_t workers : {std::size_t{0}, std::size_t{2}}) {
       auto built = pipeline::make()
                        .from_query(w.q)
-                       .backend(kind)
+                       .worker_threads(workers)
                        .input(w.stream)
                        .project()
                        .build();
       ASSERT_TRUE(built.has_value()) << built.error().message;
       auto result = built->run();
       ASSERT_TRUE(result.has_value()) << result.error().message;
-      expect_projection_matches(w, *result,
-                                w.name + " backend=" +
-                                    std::to_string(static_cast<int>(kind)));
+      expect_projection_matches(
+          w, *result, w.name + " workers=" + std::to_string(workers));
     }
   }
 }
@@ -452,7 +448,6 @@ TEST(ProjectPipeline, SinkStreamsBatchesInsteadOfRetaining) {
   std::vector<project::column_batch> streamed;
   auto built = pipeline::make()
                    .from_query(w.q)
-                   .backend(backend_kind::chunked)
                    .projection_batch_rows(5)
                    .on_projection([&](std::size_t shard,
                                       const project::column_batch& batch) {
@@ -474,7 +469,6 @@ TEST(ProjectPipeline, SinkStreamsBatchesInsteadOfRetaining) {
   // Re-run without the sink: the retained batches carry the same rows.
   run_result retained = *pipeline::make()
                              .from_query(w.q)
-                             .backend(backend_kind::chunked)
                              .project()
                              .input(w.stream)
                              .build()
@@ -482,21 +476,8 @@ TEST(ProjectPipeline, SinkStreamsBatchesInsteadOfRetaining) {
   expect_projection_matches(w, retained, w.name + " retained");
 }
 
-TEST(ProjectPipeline, ScalarBackendsAreRejectedAtBuild) {
+TEST(ProjectPipeline, ZeroBatchRowsIsRejectedAtBuild) {
   const workload& w = workloads().front();
-  auto scalar_backend = pipeline::make()
-                            .from_query(w.q)
-                            .backend(backend_kind::scalar)
-                            .project()
-                            .build();
-  EXPECT_FALSE(scalar_backend.has_value());
-  auto scalar_engine = pipeline::make()
-                           .from_query(w.q)
-                           .backend(backend_kind::system)
-                           .engine(core::engine_kind::scalar)
-                           .project()
-                           .build();
-  EXPECT_FALSE(scalar_engine.has_value());
   auto zero_batch = pipeline::make()
                         .from_query(w.q)
                         .project()

@@ -64,7 +64,7 @@ TEST(ShardedConcurrency, WorkerCountNeverChangesDecisionsOrReport) {
   const auto streams = data::shard_records(gen.stream(400), 4);
 
   // Serial reference: the paper-reproduction path, no pool at all.
-  sharded_filter_system serial(rf, 4);
+  sharded_filter_system serial({rf}, 4);
   const sharded_report reference = serial.run(views(streams));
 
   const std::size_t hw = std::thread::hardware_concurrency();
@@ -72,7 +72,7 @@ TEST(ShardedConcurrency, WorkerCountNeverChangesDecisionsOrReport) {
                                     std::max<std::size_t>(hw, 3)}) {
     system_options options;
     options.worker_threads = workers;
-    sharded_filter_system threaded(rf, 4, options);
+    sharded_filter_system threaded({rf}, 4, options);
     const sharded_report report = threaded.run(views(streams));
 
     for (std::size_t shard = 0; shard < 4; ++shard)
@@ -93,13 +93,13 @@ TEST(ShardedConcurrency, TinyFifoBackpressureIsDeterministicUnderWorkers) {
   system_options serial_options;
   serial_options.lane_fifo_bytes = 96;
   serial_options.dma_burst_bytes = 512;
-  sharded_filter_system serial(rf, 3, serial_options);
+  sharded_filter_system serial({rf}, 3, serial_options);
   const sharded_report reference = serial.run(views(streams));
   EXPECT_GT(reference.backpressure_events, 0u);
 
   system_options threaded_options = serial_options;
   threaded_options.worker_threads = 4;
-  sharded_filter_system threaded(rf, 3, threaded_options);
+  sharded_filter_system threaded({rf}, 3, threaded_options);
   const sharded_report report = threaded.run(views(streams));
 
   expect_reports_identical(report, reference, 4);
@@ -119,7 +119,7 @@ TEST(ShardedConcurrency, ProducerThreadsRacingPumpStayLossless) {
   system_options options;
   options.worker_threads = 3;
   options.lane_fifo_bytes = 256;  // small: force real backpressure
-  sharded_filter_system sys(rf, 3, options);
+  sharded_filter_system sys({rf}, 3, options);
 
   std::atomic<bool> done{false};
   std::vector<std::thread> producers;
@@ -165,7 +165,7 @@ TEST(ShardedConcurrency, ConcurrentRunnerMatchesSerialUnderWorkers) {
 
   system_options options;
   options.worker_threads = 4;
-  sharded_filter_system sys(rf, 2, options);
+  sharded_filter_system sys({rf}, 2, options);
   concurrent_runner runner(sys, 64);
   runner.bind(0, std::make_unique<synthetic_rate_source>(corpus, total, 48));
   runner.bind(1, std::make_unique<synthetic_rate_source>(corpus, total, 16));

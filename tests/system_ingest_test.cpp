@@ -115,7 +115,7 @@ TEST(ConcurrentRunner, MixedSourcesMatchReferenceFilter) {
   const std::string path = testing::TempDir() + "jrf_runner_feed.ndjson";
   { std::ofstream(path, std::ios::binary) << stream_b; }
 
-  sharded_filter_system sys(simple_filter(), 3);
+  sharded_filter_system sys({simple_filter()}, 3);
   concurrent_runner runner(sys);
   runner.bind(0, std::make_unique<memory_source>(stream_a));
   runner.bind(1, std::make_unique<chunked_file_source>(path, 128));
@@ -138,7 +138,7 @@ TEST(ConcurrentRunner, UnboundShardIdlesAsImbalance) {
   data::smartcity_generator gen;
   const std::string stream = gen.stream(60);
 
-  sharded_filter_system sys(simple_filter(), 2);
+  sharded_filter_system sys({simple_filter()}, 2);
   concurrent_runner runner(sys);
   runner.bind(0, std::make_unique<memory_source>(stream));
   const sharded_report report = runner.run();
@@ -154,7 +154,7 @@ TEST(ConcurrentRunner, HonoursBackpressureWithTinyFifo) {
   system_options options;
   options.lane_fifo_bytes = 64;
   options.dma_burst_bytes = 256;  // bursts larger than the FIFO
-  sharded_filter_system sys(simple_filter(), 1, options);
+  sharded_filter_system sys({simple_filter()}, 1, options);
   concurrent_runner runner(sys);
   runner.bind(0, std::make_unique<memory_source>(stream));
   const sharded_report report = runner.run();
@@ -166,14 +166,14 @@ TEST(ConcurrentRunner, HonoursBackpressureWithTinyFifo) {
 }
 
 TEST(ConcurrentRunner, RejectsBadBindings) {
-  sharded_filter_system sys(simple_filter(), 2);
+  sharded_filter_system sys({simple_filter()}, 2);
   concurrent_runner runner(sys);
   EXPECT_THROW(runner.bind(2, std::make_unique<memory_source>("x")), error);
   EXPECT_THROW(runner.bind(0, nullptr), error);
 }
 
 TEST(ConcurrentRunner, RunWithNoSourcesReportsAllZero) {
-  sharded_filter_system sys(simple_filter(), 2);
+  sharded_filter_system sys({simple_filter()}, 2);
   concurrent_runner runner(sys);
   const sharded_report report = runner.run();
   EXPECT_EQ(report.bytes, 0u);

@@ -28,7 +28,7 @@ TEST(ShardedSystem, PerShardDecisionsMatchReferenceFilter) {
   data::smartcity_generator gen;
   const auto streams = data::shard_records(gen.stream(400), 4);
 
-  sharded_filter_system sys(simple_filter(), 4);
+  sharded_filter_system sys({simple_filter()}, 4);
   sys.run(views(streams));
 
   core::raw_filter reference(simple_filter());
@@ -38,26 +38,26 @@ TEST(ShardedSystem, PerShardDecisionsMatchReferenceFilter) {
   }
 }
 
-TEST(ShardedSystem, BothEngineKindsAgree) {
+TEST(ShardedSystem, QueryLanesMatchRawFilterOracle) {
+  // A compiled riotbench query on the chunked lanes decides every shard
+  // exactly like the byte-serial raw_filter reference.
   data::smartcity_generator gen;
   const auto rf = query::compile_default(query::riotbench::qs0());
   const auto streams = data::shard_records(gen.stream(300), 3);
 
-  system_options scalar_options;
-  scalar_options.engine = core::engine_kind::scalar;
-  sharded_filter_system scalar(rf, 3, scalar_options);
-  sharded_filter_system chunked(rf, 3);
-  scalar.run(views(streams));
-  chunked.run(views(streams));
+  sharded_filter_system sys({rf}, 3);
+  sys.run(views(streams));
+  core::raw_filter reference(rf);
   for (std::size_t shard = 0; shard < 3; ++shard)
-    EXPECT_EQ(scalar.decisions(shard), chunked.decisions(shard)) << shard;
+    EXPECT_EQ(sys.decisions(shard), reference.filter_stream(streams[shard]))
+        << shard;
 }
 
 TEST(ShardedSystem, ReportAggregatesShards) {
   data::smartcity_generator gen;
   const auto streams = data::shard_records(gen.stream(200), 4);
 
-  sharded_filter_system sys(simple_filter(), 4);
+  sharded_filter_system sys({simple_filter()}, 4);
   const sharded_report report = sys.run(views(streams));
 
   ASSERT_EQ(report.shards.size(), 4u);
@@ -82,7 +82,7 @@ TEST(ShardedSystem, ReportAggregatesShards) {
 TEST(ShardedSystem, OfferHonoursFifoBackpressure) {
   system_options options;
   options.lane_fifo_bytes = 32;
-  sharded_filter_system sys(simple_filter(), 1, options);
+  sharded_filter_system sys({simple_filter()}, 1, options);
 
   const std::string big(100, 'x');
   const std::size_t taken = sys.offer(0, big);
@@ -102,7 +102,7 @@ TEST(ShardedSystem, OfferHonoursFifoBackpressure) {
 TEST(ShardedSystem, HardBackpressureIsItsOwnStat) {
   system_options options;
   options.lane_fifo_bytes = 32;
-  sharded_filter_system sys(simple_filter(), 1, options);
+  sharded_filter_system sys({simple_filter()}, 1, options);
 
   const std::string big(100, 'x');
   sys.offer(0, big);  // truncated: soft backpressure only
@@ -130,7 +130,7 @@ TEST(ShardedSystem, HardBackpressureIsItsOwnStat) {
 TEST(ShardedSystem, EmptyOfferOnFullFifoChangesNoCounters) {
   system_options options;
   options.lane_fifo_bytes = 32;
-  sharded_filter_system sys(simple_filter(), 1, options);
+  sharded_filter_system sys({simple_filter()}, 1, options);
   sys.offer(0, std::string(32, 'x'));  // exactly fills the FIFO
   const sharded_report before = sys.report();
 
@@ -151,7 +151,7 @@ TEST(ShardedSystem, EmptyOfferOnFullFifoChangesNoCounters) {
 TEST(ShardedSystem, ZeroByteReportHasNoNanOrInf) {
   // report() on a freshly constructed system: every derived rate must be
   // exactly zero - not the configured peak, and never NaN/inf.
-  sharded_filter_system sys(simple_filter(), 4);
+  sharded_filter_system sys({simple_filter()}, 4);
   const sharded_report report = sys.report();
   EXPECT_EQ(report.bytes, 0u);
   EXPECT_EQ(report.records, 0u);
@@ -175,7 +175,7 @@ TEST(ShardedSystem, RunCompletesDespiteTinyFifo) {
   system_options options;
   options.lane_fifo_bytes = 64;
   options.dma_burst_bytes = 256;
-  sharded_filter_system sys(simple_filter(), 2, options);
+  sharded_filter_system sys({simple_filter()}, 2, options);
   const sharded_report report = sys.run(views(streams));
 
   EXPECT_EQ(report.bytes, streams[0].size() + streams[1].size());
@@ -192,14 +192,14 @@ TEST(ShardedSystem, LaneImbalanceShowsAsStalls) {
   std::vector<std::string> streams{
       data::smartcity_generator().stream(100), std::string{}};
 
-  sharded_filter_system sys(simple_filter(), 2);
+  sharded_filter_system sys({simple_filter()}, 2);
   const sharded_report report = sys.run(views(streams));
   EXPECT_GT(report.stall_cycles, 0u);
   EXPECT_EQ(report.shards[1].records, 0u);
 }
 
 TEST(ShardedSystem, FinishFlushesTrailingRecord) {
-  sharded_filter_system sys(simple_filter(), 1);
+  sharded_filter_system sys({simple_filter()}, 1);
   sys.offer(0, "{\"temperature\":1}");  // no trailing separator
   sys.pump();
   EXPECT_TRUE(sys.decisions(0).empty());
@@ -209,13 +209,13 @@ TEST(ShardedSystem, FinishFlushesTrailingRecord) {
 }
 
 TEST(ShardedSystem, RejectsBadConfigurations) {
-  EXPECT_THROW(sharded_filter_system(simple_filter(), 0), error);
+  EXPECT_THROW(sharded_filter_system({simple_filter()}, 0), error);
 
   system_options zero_fifo;
   zero_fifo.lane_fifo_bytes = 0;
-  EXPECT_THROW(sharded_filter_system(simple_filter(), 1, zero_fifo), error);
+  EXPECT_THROW(sharded_filter_system({simple_filter()}, 1, zero_fifo), error);
 
-  sharded_filter_system sys(simple_filter(), 2);
+  sharded_filter_system sys({simple_filter()}, 2);
   EXPECT_THROW(sys.offer(2, "x"), error);
   EXPECT_THROW(sys.decisions(2), error);
 
