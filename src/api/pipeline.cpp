@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <mutex>
 #include <optional>
 #include <unordered_map>
@@ -104,9 +105,9 @@ struct pipeline::impl {
   // order); every epoch of the set is frozen into an immutable
   // query_registry snapshot so decision batches staged across a runtime
   // add/remove stay paired with the id set they actually decided under.
-  // All mutation goes through mutation_mutex, which is never held while a
-  // query compiles under a stream gate - the whole point of the epoch
-  // scheme is that live traffic keeps flowing during the compile.
+  // All mutation goes through mutation_mutex, which the new plan compiles
+  // under; no stream gate is held during the compile - the whole point of
+  // the epoch scheme is that live traffic keeps flowing meanwhile.
   struct query_registry {
     std::vector<core::query_id> ids;          // dense order
     std::vector<decision_sink> query_sinks;   // parallel to ids; may be null
@@ -130,6 +131,11 @@ struct pipeline::impl {
 
   core::query_set qset;        // resident queries (mutation_mutex)
   registry_ptr reg;            // current epoch snapshot (mutation_mutex)
+  // Clones of the current epoch's primitive engines, taken before any lane
+  // scanned: the next epoch's compile clones every spec it still needs
+  // from here and builds only new ones (mutation_mutex). Never a lane's
+  // engine - lanes keep scanning while the next epoch compiles.
+  core::compiled_layout::engine_pool engine_pool;
   mutable std::mutex mutation_mutex;
   // Multi-tenant bookkeeping on: decision staging switches from the
   // index-cursor over the engines' growing decision vectors to a consume
@@ -288,7 +294,7 @@ struct pipeline::impl {
   void start_exec() {
     const std::size_t n = stream_count();
     sharded = std::make_unique<system::sharded_filter_system>(
-        qset.queries(), n, to_system_options(opts));
+        compile_epoch(), n, to_system_options(opts));
     streams.reserve(n);
     for (std::size_t shard = 0; shard < n; ++shard) {
       auto st = std::make_unique<stream_state>();
@@ -509,29 +515,53 @@ struct pipeline::impl {
   /// Expand the per-epoch bitmap segments into one decision column per
   /// query ever resident on each shard. Ids are never reused, so every
   /// query's residency is one contiguous span and consecutive segments
-  /// containing the same id concatenate in record order.
+  /// containing the same id concatenate in record order. Columns are sized
+  /// up front, then one pass over each segment's rows visits only the set
+  /// verdict bits (a ctz walk per word) - most bits of a fleet are clear.
   std::vector<std::vector<query_column>> expand_columns() const {
     std::vector<std::vector<query_column>> out(history.size());
     for (std::size_t shard = 0; shard < history.size(); ++shard) {
+      const std::vector<stream_history::segment>& segs =
+          history[shard].segments;
       std::vector<query_column>& cols = out[shard];
       // id -> column slot, so a 10k-query epoch costs one hash probe per
       // query instead of a linear rescan of every column per query.
       std::unordered_map<core::query_id, std::size_t> slot_of;
-      for (const stream_history::segment& seg : history[shard].segments) {
-        const std::size_t wpr = seg.reg->wpr();
-        const std::size_t rows = wpr == 0 ? 0 : seg.words.size() / wpr;
-        for (std::size_t qi = 0; qi < seg.reg->ids.size(); ++qi) {
-          const core::query_id id = seg.reg->ids[qi];
+      // Per segment, per dense ordinal: the column slot and the column
+      // position of the segment's row 0.
+      std::vector<std::vector<std::pair<std::size_t, std::size_t>>> at(
+          segs.size());
+      std::vector<std::size_t> length;  // per slot
+      for (std::size_t s = 0; s < segs.size(); ++s) {
+        const stream_history::segment& seg = segs[s];
+        const std::size_t rows = seg.words.size() / seg.reg->wpr();
+        at[s].reserve(seg.reg->ids.size());
+        for (const core::query_id id : seg.reg->ids) {
           const auto [it, fresh] = slot_of.try_emplace(id, cols.size());
-          if (fresh) cols.push_back({id, seg.first_record, {}});
-          query_column& col = cols[it->second];
-          // Transpose the segment one whole word stride at a time: the
-          // query's (word, shift) address is fixed across the segment.
-          const std::uint64_t* word = seg.words.data() + qi / 64;
-          const unsigned shift = static_cast<unsigned>(qi % 64);
-          col.decisions.reserve(col.decisions.size() + rows);
-          for (std::size_t r = 0; r < rows; ++r, word += wpr)
-            col.decisions.push_back(((*word >> shift) & 1u) != 0);
+          if (fresh) {
+            cols.push_back({id, seg.first_record, {}});
+            length.push_back(0);
+          }
+          at[s].emplace_back(it->second, length[it->second]);
+          length[it->second] += rows;
+        }
+      }
+      for (std::size_t slot = 0; slot < cols.size(); ++slot)
+        cols[slot].decisions.assign(length[slot], false);
+      for (std::size_t s = 0; s < segs.size(); ++s) {
+        const stream_history::segment& seg = segs[s];
+        const std::size_t wpr = seg.reg->wpr();
+        const std::size_t rows = seg.words.size() / wpr;
+        const std::uint64_t* word = seg.words.data();
+        for (std::size_t r = 0; r < rows; ++r) {
+          for (std::size_t w = 0; w < wpr; ++w, ++word) {
+            for (std::uint64_t bits = *word; bits != 0; bits &= bits - 1) {
+              const std::size_t qi =
+                  w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+              const auto [slot, start] = at[s][qi];
+              cols[slot].decisions[start + r] = true;
+            }
+          }
         }
       }
     }
@@ -594,19 +624,35 @@ struct pipeline::impl {
 
   // --- runtime query management ------------------------------------------
 
+  /// Compile the resident set into a fresh, never-scanned engine, cloning
+  /// every primitive engine_pool already holds, then refill engine_pool
+  /// from the new layout before anything scans it. Caller holds
+  /// mutation_mutex (or is build(), before the pipeline exists).
+  std::unique_ptr<core::filter_engine> compile_epoch() {
+    core::compiled_layout layout =
+        qset.compile(opts.filter.simd, &engine_pool);
+    core::compiled_layout::engine_pool next = layout.clone_pool();
+    auto engine = core::make_chunked_engine(qset.queries(), std::move(layout),
+                                            opts.filter);
+    engine_pool = std::move(next);
+    return engine;
+  }
+
   /// New epoch snapshot for the current qset, carrying per-query sinks
   /// over by id. Caller holds mutation_mutex.
   std::shared_ptr<query_registry> snapshot_registry() const {
     auto nreg = std::make_shared<query_registry>();
     nreg->ids = qset.ids();
     nreg->query_sinks.resize(nreg->ids.size());
+    // Ids are monotone, never reused, and removal keeps order, so both id
+    // lists ascend: each old sink finds its new slot by binary search.
     if (reg) {
-      for (std::size_t qi = 0; qi < nreg->ids.size(); ++qi)
-        for (std::size_t old = 0; old < reg->ids.size(); ++old)
-          if (reg->ids[old] == nreg->ids[qi]) {
-            nreg->query_sinks[qi] = reg->query_sinks[old];
-            break;
-          }
+      for (const std::uint32_t old : reg->sink_ordinals) {
+        const auto it = std::ranges::lower_bound(nreg->ids, reg->ids[old]);
+        if (it != nreg->ids.end() && *it == reg->ids[old])
+          nreg->query_sinks[static_cast<std::size_t>(it - nreg->ids.begin())] =
+              reg->query_sinks[old];
+      }
     }
     nreg->index_sinks();
     return nreg;
@@ -621,9 +667,7 @@ struct pipeline::impl {
   /// records decided before the new set existed.
   void swap_epoch(registry_ptr nreg, bool rebuild) {
     std::unique_ptr<core::filter_engine> proto;
-    if (rebuild)
-      proto = core::make_filter_engine(core::engine_kind::chunked,
-                                       qset.queries(), opts.filter);
+    if (rebuild) proto = compile_epoch();
     // Flip to consume-stream staging BEFORE touching any stream: a
     // producer racing the walk on a not-yet-swapped shard then stages
     // take-style under its stream's (still old) epoch, which is exactly

@@ -12,27 +12,48 @@
 
 namespace jrf::core {
 
+namespace {
+
+/// Append the engine of `spec` (key `key`) to `layout`: a clone of the
+/// pooled engine when `reuse` holds the key, else a fresh make_engine.
+void add_engine(compiled_layout& layout, const primitive_spec& spec,
+                std::string key, simd::simd_level level,
+                const compiled_layout::engine_pool* reuse) {
+  const primitive_engine* pooled = nullptr;
+  if (reuse != nullptr)
+    if (const auto it = reuse->find(key); it != reuse->end())
+      pooled = it->second.get();
+  if (pooled != nullptr) {
+    layout.engines.push_back(pooled->clone());
+  } else {
+    layout.engines.push_back(make_engine(spec, level));
+    ++layout.engines_built;
+  }
+  layout.engine_keys.push_back(std::move(key));
+}
+
+}  // namespace
+
 compiled_layout compiled_layout::compile(const filter_expr& root,
-                                         simd::simd_level level) {
+                                         simd::simd_level level,
+                                         const engine_pool* reuse) {
   compiled_layout layout;
-  const auto visit = [&layout, level](const filter_expr& e,
-                                      const auto& self) -> plan_node {
+  const auto visit = [&layout, level, reuse](const filter_expr& e,
+                                             const auto& self) -> plan_node {
     plan_node node;
     switch (e.kind) {
       case expr_kind::primitive:
         node.k = plan_node::kind::leaf;
         node.index = layout.engines.size();
         layout.bare_engines.push_back(layout.engines.size());
-        layout.engine_keys.push_back(spec_key(e.prim));
-        layout.engines.push_back(make_engine(e.prim, level));
+        add_engine(layout, e.prim, spec_key(e.prim), level, reuse);
         break;
       case expr_kind::group: {
         group_info info;
         info.kind = e.group;
         for (const primitive_spec& m : e.members) {
           info.members.push_back(layout.engines.size());
-          layout.engine_keys.push_back(spec_key(m));
-          layout.engines.push_back(make_engine(m, level));
+          add_engine(layout, m, spec_key(m), level, reuse);
         }
         node.k = plan_node::kind::group;
         node.index = layout.groups.size();
@@ -57,19 +78,18 @@ compiled_layout compiled_layout::compile(const filter_expr& root,
 }
 
 compiled_layout compiled_layout::compile_set(std::span<const expr_ptr> queries,
-                                             simd::simd_level level) {
+                                             simd::simd_level level,
+                                             const engine_pool* reuse) {
   if (queries.empty()) throw error("compile_set: empty query set");
   compiled_layout layout;
   std::unordered_map<std::string, std::size_t> engine_by_key;
   std::unordered_map<std::string, std::size_t> group_by_key;
   std::size_t q = 0;
   const auto intern = [&](const primitive_spec& spec) -> std::size_t {
-    std::string key = spec_key(spec);
     const auto [it, fresh] =
-        engine_by_key.try_emplace(std::move(key), layout.engines.size());
+        engine_by_key.try_emplace(spec_key(spec), layout.engines.size());
     if (fresh) {
-      layout.engines.push_back(make_engine(spec, level));
-      layout.engine_keys.push_back(it->first);
+      add_engine(layout, spec, it->first, level, reuse);
       layout.engine_subscribers.emplace_back();
     }
     std::vector<std::size_t>& subs = layout.engine_subscribers[it->second];
@@ -254,6 +274,15 @@ void compiled_layout::build_trie(compiled_layout& layout) {
   }
 }
 
+compiled_layout::engine_pool compiled_layout::clone_pool() const {
+  engine_pool pool;
+  for (std::size_t i = 0; i < engines.size(); ++i) {
+    const auto [it, fresh] = pool.try_emplace(engine_keys[i]);
+    if (fresh) it->second = engines[i]->clone();
+  }
+  return pool;
+}
+
 compiled_layout compiled_layout::clone() const {
   compiled_layout copy;
   copy.engines.reserve(engines.size());
@@ -265,6 +294,7 @@ compiled_layout compiled_layout::clone() const {
   copy.engine_subscribers = engine_subscribers;
   copy.trie = trie;
   copy.trie_roots = trie_roots;
+  copy.engines_built = engines_built;
   return copy;
 }
 
@@ -551,15 +581,13 @@ class chunked_filter_engine final : public filter_engine {
     init();
   }
 
-  /// Multi-tenant lane: N > 1 queries interned into one shared layout
-  /// (engines and groups dedup'd by spec key); a one-element set compiles
-  /// through the single-query path above, byte-identical to it.
-  chunked_filter_engine(std::vector<expr_ptr> queries, filter_options options)
+  /// Lane over a layout compiled by the caller: N > 1 queries interned
+  /// into one shared layout (compile_set), or one query's compile().
+  chunked_filter_engine(std::vector<expr_ptr> queries, compiled_layout layout,
+                        filter_options options)
       : filter_engine(std::move(queries), options),
         level_(simd::resolve(options.simd)),
-        layout_(queries_.size() == 1
-                    ? compiled_layout::compile(*queries_.front(), options.simd)
-                    : compiled_layout::compile_set(queries_, options.simd)),
+        layout_(std::move(layout)),
         max_depth_(structure_tracker(options.depth_bits).max_depth()) {
     init();
   }
@@ -1435,7 +1463,17 @@ std::unique_ptr<filter_engine> make_filter_engine(engine_kind kind,
     return make_filter_engine(kind, std::move(queries.front()), options);
   if (kind == engine_kind::scalar)
     return std::make_unique<multi_scalar_engine>(std::move(queries), options);
-  return std::make_unique<chunked_filter_engine>(std::move(queries), options);
+  compiled_layout layout = compiled_layout::compile_set(queries, options.simd);
+  return make_chunked_engine(std::move(queries), std::move(layout), options);
+}
+
+std::unique_ptr<filter_engine> make_chunked_engine(
+    std::vector<expr_ptr> queries, compiled_layout layout,
+    filter_options options) {
+  if (layout.query_count() != queries.size())
+    throw error("filter engine: layout compiled for a different query set");
+  return std::make_unique<chunked_filter_engine>(std::move(queries),
+                                                 std::move(layout), options);
 }
 
 }  // namespace jrf::core

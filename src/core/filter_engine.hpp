@@ -39,7 +39,9 @@
 #include <functional>
 #include <memory>
 #include <span>
+#include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "core/expr.hpp"
@@ -126,16 +128,37 @@ struct compiled_layout {
   std::vector<trie_node> trie;
   std::vector<std::size_t> trie_roots;
 
+  /// Engines this compile built with make_engine; the rest were cloned
+  /// from the reuse pool. An epoch swap whose primitives are all resident
+  /// (any remove, or an add of already-deployed specs) reads 0.
+  std::size_t engines_built = 0;
+
   std::size_t query_count() const noexcept { return roots.size(); }
+
+  /// Primitive engines keyed by spec_key: the reuse source of compile()
+  /// and compile_set(). For every key the pool holds, a compile clones the
+  /// pooled engine (the clone starts reset and shares the compiled DFA and
+  /// gram tables) instead of calling make_engine. Engines keep the vector
+  /// tier they were built at, so a pool should come from a compile at the
+  /// same level; decisions are identical either way.
+  using engine_pool =
+      std::unordered_map<std::string, std::unique_ptr<primitive_engine>>;
+
+  /// Clone one engine per spec_key into a pool. Take it before any of
+  /// this layout's engines scans: cloning reads run state, so a pool must
+  /// never be drawn from (or alias) an engine a lane is scanning with.
+  engine_pool clone_pool() const;
 
   /// Instantiate every primitive of the expression (throws on null/invalid),
   /// one engine per leaf occurrence - today's single-query layout, byte-
   /// and performance-identical to what PR 7 compiled. `level` pins the
   /// vector tier of the engines' bulk scans (automatic = the
-  /// runtime-dispatched host level).
+  /// runtime-dispatched host level); `reuse`, when given, supplies engines
+  /// by spec_key (see engine_pool).
   static compiled_layout compile(
       const filter_expr& root,
-      simd::simd_level level = simd::simd_level::automatic);
+      simd::simd_level level = simd::simd_level::automatic,
+      const engine_pool* reuse = nullptr);
 
   /// Multi-query compile: intern the primitives of every query by
   /// spec_key, so identical substring/gram/DFA/value specs across the set
@@ -147,7 +170,8 @@ struct compiled_layout {
   /// for introspection and the equivalence tests).
   static compiled_layout compile_set(
       std::span<const expr_ptr> queries,
-      simd::simd_level level = simd::simd_level::automatic);
+      simd::simd_level level = simd::simd_level::automatic,
+      const engine_pool* reuse = nullptr);
 
   /// Fresh lane: engines cloned (sharing compiled artifacts), plans and
   /// group membership copied.
@@ -308,6 +332,14 @@ const char* to_string(engine_kind kind);
 std::unique_ptr<filter_engine> make_filter_engine(engine_kind kind,
                                                   expr_ptr expr,
                                                   filter_options options = {});
+
+/// Chunked engine over a layout the caller compiled from `queries` at
+/// options.simd (query_set::compile: compile() for one query, compile_set()
+/// for more). The facade compiles this way so each epoch's layout can
+/// reuse the previous epoch's engines.
+std::unique_ptr<filter_engine> make_chunked_engine(
+    std::vector<expr_ptr> queries, compiled_layout layout,
+    filter_options options = {});
 
 /// Multi-tenant overload: one engine evaluating every query of the set per
 /// record (shared framing, engines interned by spec_key, per-record

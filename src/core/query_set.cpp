@@ -39,11 +39,12 @@ std::size_t query_set::ordinal(query_id id) const {
   return static_cast<std::size_t>(it - ids_.begin());
 }
 
-compiled_layout query_set::compile(simd::simd_level level) const {
+compiled_layout query_set::compile(
+    simd::simd_level level, const compiled_layout::engine_pool* reuse) const {
   if (queries_.empty()) throw error("query set: compile of empty set");
   if (queries_.size() == 1)
-    return compiled_layout::compile(*queries_.front(), level);
-  return compiled_layout::compile_set(queries_, level);
+    return compiled_layout::compile(*queries_.front(), level, reuse);
+  return compiled_layout::compile_set(queries_, level, reuse);
 }
 
 std::unique_ptr<filter_engine> query_set::make_engine(

@@ -61,9 +61,11 @@ class query_set {
 
   /// Shared plan over the resident queries (throws when empty): engines
   /// interned by spec_key with the primitive->subscribers fan-out index
-  /// populated. N=1 is compiled_layout::compile exactly.
+  /// populated. N=1 is compiled_layout::compile exactly. `reuse` supplies
+  /// already-built engines by spec_key (compiled_layout::engine_pool).
   compiled_layout compile(
-      simd::simd_level level = simd::simd_level::automatic) const;
+      simd::simd_level level = simd::simd_level::automatic,
+      const compiled_layout::engine_pool* reuse = nullptr) const;
 
   /// One engine evaluating every resident query per record (throws when
   /// empty). N=1 returns the plain single-query engine.

@@ -28,6 +28,14 @@ std::string sharded_report::to_string() const {
 sharded_filter_system::sharded_filter_system(
     std::vector<core::expr_ptr> queries, std::size_t shards,
     system_options options)
+    : sharded_filter_system(
+          core::make_filter_engine(core::engine_kind::chunked,
+                                   std::move(queries), options.filter),
+          shards, options) {}
+
+sharded_filter_system::sharded_filter_system(
+    std::unique_ptr<core::filter_engine> prototype, std::size_t shards,
+    system_options options)
     : options_(options) {
   if (shards < 1) throw error("sharded system: need at least one shard");
   if (options_.lane_fifo_bytes == 0)
@@ -39,8 +47,7 @@ sharded_filter_system::sharded_filter_system(
     lanes_.push_back(std::make_unique<lane>());
   // One shared compile, N-1 clones: the lanes share DFA tables and gram
   // sets.
-  lanes_.front()->engine = core::make_filter_engine(
-      core::engine_kind::chunked, std::move(queries), options_.filter);
+  lanes_.front()->engine = std::move(prototype);
   expr_ = lanes_.front()->engine->expression();
   for (std::size_t s = 1; s < shards; ++s)
     lanes_[s]->engine = lanes_.front()->engine->clone();
@@ -230,10 +237,9 @@ sharded_report sharded_filter_system::report() const {
   // The shared Figure-4 model: one byte per lane per cycle, the slowest
   // lane bounds completion, every DMA burst descriptor on the shared
   // ingress bus charges setup cycles.
-  system_options per_shard = options_;
-  per_shard.lanes = static_cast<int>(lanes_.size());
   const throughput_report model =
-      model_report(per_shard, out.bytes, out.records, out.accepted, slowest);
+      model_report(options_, static_cast<int>(lanes_.size()), out.bytes,
+                   out.records, out.accepted, slowest);
   out.cycles = model.cycles;
   out.stall_cycles = model.stall_cycles;
   out.seconds = model.seconds;

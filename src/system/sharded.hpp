@@ -79,13 +79,19 @@ struct sharded_report {
 /// N independent input streams filtered by N lanes of one compiled plan.
 class sharded_filter_system {
  public:
-  /// `shards` lanes are created; options.lanes is ignored (the stream/lane
-  /// binding is 1:1). Every lane runs one shared chunked engine layout
-  /// evaluating all the queries per record; decision bitmaps ride along
-  /// with the any-match decisions (take_decisions), and a one-element
-  /// vector is the single-query engine exactly. options.worker_threads > 1
-  /// starts a pool that pump()/finish() fan the lanes out over.
+  /// `shards` lanes are created, one per stream. Every lane runs one
+  /// shared chunked engine layout evaluating all the queries per record;
+  /// decision bitmaps ride along with the any-match decisions
+  /// (take_decisions), and a one-element vector is the single-query engine
+  /// exactly. options.worker_threads > 1 starts a pool that pump()/finish()
+  /// fan the lanes out over.
   sharded_filter_system(std::vector<core::expr_ptr> queries,
+                        std::size_t shards, system_options options = {});
+
+  /// Same, over an engine the caller already built (its own filter
+  /// options apply; options.filter is not read): lane 0 runs `prototype`,
+  /// the other lanes clone it.
+  sharded_filter_system(std::unique_ptr<core::filter_engine> prototype,
                         std::size_t shards, system_options options = {});
 
   std::size_t shard_count() const noexcept { return lanes_.size(); }

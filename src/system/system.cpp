@@ -20,7 +20,7 @@ std::string throughput_report::to_string() const {
   return buffer;
 }
 
-throughput_report model_report(const system_options& options,
+throughput_report model_report(const system_options& options, int lanes,
                                std::uint64_t bytes, std::uint64_t records,
                                std::uint64_t accepted,
                                std::uint64_t slowest_lane_bytes) {
@@ -29,7 +29,7 @@ throughput_report model_report(const system_options& options,
   report.records = records;
   report.accepted = accepted;
   report.theoretical_gbps =
-      static_cast<double>(options.lanes) * options.clock_mhz * 1e6 / 1e9;
+      static_cast<double>(lanes) * options.clock_mhz * 1e6 / 1e9;
 
   // DMA: every burst descriptor costs setup cycles during which no lane
   // receives data (shared ingress bus).
@@ -39,8 +39,8 @@ throughput_report model_report(const system_options& options,
       bursts * static_cast<std::uint64_t>(options.dma_setup_cycles);
 
   const std::uint64_t balanced =
-      (bytes + static_cast<std::uint64_t>(options.lanes) - 1) /
-      static_cast<std::uint64_t>(options.lanes);
+      (bytes + static_cast<std::uint64_t>(lanes) - 1) /
+      static_cast<std::uint64_t>(lanes);
   report.cycles = slowest_lane_bytes + dma_overhead;
   // Clamp: blank-line-heavy input can make the slowest lane shorter than
   // the balanced distribution of raw bytes (separators of empty records

@@ -25,7 +25,6 @@
 namespace jrf::system {
 
 struct system_options {
-  int lanes = 7;                    // parallel RF pipelines (paper: 7)
   double clock_mhz = 200.0;         // PL clock (paper: 200 MHz)
   std::size_t dma_burst_bytes = 4096;  // bytes moved per DMA descriptor
   int dma_setup_cycles = 12;        // descriptor setup / bus arbitration
@@ -64,9 +63,10 @@ struct throughput_report {
 /// report (and so every jrf::pipeline result): the slowest lane bounds the
 /// filtering time, every DMA burst descriptor charges setup cycles on the
 /// shared ingress bus, and the gap to the perfectly balanced distribution
-/// shows up as stall cycles. A zero-byte run reports all-zero rates (no
-/// NaN/inf).
-throughput_report model_report(const system_options& options,
+/// shows up as stall cycles. `lanes` is the number of parallel RF
+/// pipelines (the paper's Figure 4 has 7; the sharded system passes its
+/// shard count). A zero-byte run reports all-zero rates (no NaN/inf).
+throughput_report model_report(const system_options& options, int lanes,
                                std::uint64_t bytes, std::uint64_t records,
                                std::uint64_t accepted,
                                std::uint64_t slowest_lane_bytes);

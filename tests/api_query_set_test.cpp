@@ -8,12 +8,14 @@
 // column is held byte-identical to running that query alone.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <barrier>
 #include <cstddef>
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/pipeline.hpp"
@@ -294,6 +296,108 @@ TEST(ApiQuerySet, RuntimeRemoveMidStreamEndsTheColumn) {
     EXPECT_EQ(result->decisions[r],
               r < kRemoveRecord ? (col_a[r] || col_b[r]) : col_a[r])
         << "record " << r;
+}
+
+TEST(ApiQuerySet, WideFleetChurnAcrossTheWordBoundary) {
+  // 70 resident queries = two verdict words per record. Removes and adds
+  // move queries across bit 63 in both directions, the set shrinks to one
+  // word and grows back to two, and swaps run back to back with zero
+  // records between them (an epoch that decides nothing). Every column -
+  // and a per-query sink whose query changes word - must equal that query
+  // run alone over exactly its residency.
+  const std::string& stream = telemetry();
+  const std::vector<std::string> needles{"temperature", "humidity", "light",
+                                         "dust", "airquality"};
+  std::vector<core::expr_ptr> leaves;
+  for (const std::string& needle : needles)
+    for (int block = 1; block <= 2; ++block)
+      leaves.push_back(core::string_leaf(needle, block));
+  std::vector<core::expr_ptr> fleet;
+  for (std::size_t i = 0; i < 72; ++i)
+    fleet.push_back(i % 5 == 0 ? (i % 2 == 0 ? primary_expr() : second_expr())
+                               : core::conj({leaves[i % leaves.size()],
+                                             leaves[(i * 3 + 1) %
+                                                    leaves.size()]}));
+
+  auto builder = pipeline::make();
+  builder.raw_filter(fleet[0]);
+  for (std::size_t i = 1; i < 70; ++i) builder.add_raw_filter(fleet[i]);
+  auto built = builder.build();
+  ASSERT_TRUE(built.has_value()) << built.error().message;
+  ASSERT_EQ(built->query_ids().size(), 70u);
+
+  // id -> [first, end) records of residency; ids 1..70 start at record 0.
+  constexpr std::size_t kOpen = static_cast<std::size_t>(-1);
+  std::vector<std::pair<std::size_t, std::size_t>> residency(73, {0, kOpen});
+  std::vector<core::expr_ptr> expr_of(73);
+  for (std::size_t id = 1; id <= 70; ++id) expr_of[id] = fleet[id - 1];
+
+  // Id 65 starts at ordinal 64 (word 1) and moves to ordinal 63 (word 0).
+  std::vector<std::uint64_t> sink_indices;
+  std::vector<bool> sink_decisions;
+  ASSERT_TRUE(built
+                  ->on_query_decision(65,
+                                      [&](std::size_t, std::uint64_t index,
+                                          bool accepted) {
+                                        sink_indices.push_back(index);
+                                        sink_decisions.push_back(accepted);
+                                      })
+                  .has_value());
+
+  std::size_t offered = 0;
+  const auto offer_to = [&](std::size_t record) {
+    const std::size_t from = record_boundary(stream, offered);
+    const std::size_t to = record_boundary(stream, record);
+    ASSERT_TRUE(built->offer(std::string_view(stream).substr(from, to - from))
+                    .has_value());
+    offered = record;
+  };
+  const auto remove = [&](core::query_id id) {
+    ASSERT_TRUE(built->remove_query(id).has_value()) << "remove " << id;
+    residency[id].second = offered;
+  };
+  const auto add = [&](std::size_t fleet_index, core::query_id want) {
+    auto id = built->add_query(fleet[fleet_index]);
+    ASSERT_TRUE(id.has_value()) << id.error().message;
+    ASSERT_EQ(*id, want);
+    residency[want].first = offered;
+    expr_of[want] = fleet[fleet_index];
+  };
+
+  offer_to(60);
+  remove(64);  // ordinal 63: everything above shifts down across bit 63
+  add(70, 71);
+  offer_to(120);
+  for (const core::query_id id : {2, 66, 67, 68, 69, 70}) remove(id);
+  ASSERT_EQ(built->query_ids().size(), 64u);  // one verdict word
+  offer_to(180);
+  add(71, 72);  // back to two words
+  remove(3);    // ... and straight to one again, zero records between
+  offer_to(240);
+  auto result = built->finish();
+  ASSERT_TRUE(result.has_value()) << result.error().message;
+
+  ASSERT_EQ(result->shard_query_columns.size(), 1u);
+  const auto& columns = result->shard_query_columns[0];
+  EXPECT_EQ(columns.size(), 72u);
+  for (core::query_id id = 1; id <= 72; ++id) {
+    const query_column* column = find_column(columns, id);
+    ASSERT_NE(column, nullptr) << "query " << id;
+    const auto [first, end] = residency[id];
+    const std::vector<bool> alone = standalone(expr_of[id], stream);
+    const std::size_t stop = std::min(end, alone.size());
+    EXPECT_EQ(column->first_record, first) << "query " << id;
+    const auto at = [&](std::size_t r) {
+      return alone.begin() + static_cast<std::ptrdiff_t>(r);
+    };
+    EXPECT_EQ(column->decisions, std::vector<bool>(at(first), at(stop)))
+        << "query " << id;
+  }
+  const std::vector<bool> alone = standalone(expr_of[65], stream);
+  EXPECT_EQ(sink_decisions, alone);
+  ASSERT_EQ(sink_indices.size(), alone.size());
+  for (std::size_t k = 0; k < sink_indices.size(); ++k)
+    EXPECT_EQ(sink_indices[k], k);
 }
 
 TEST(ApiQuerySet, RuntimeMutationAcrossRoutedShards) {

@@ -139,6 +139,72 @@ TEST(QuerySet, DisjointQueriesKeepDisjointSubscriptions) {
             (std::vector<std::size_t>{1, 2}));
 }
 
+TEST(QuerySet, EpochCompilesBuildOnlyNewPrimitives) {
+  // An epoch compile clones every primitive the reuse pool holds: a remove,
+  // or an add whose primitives are all resident, builds no engine at all.
+  const auto exprs = riotbench_exprs();
+  core::query_set set;
+  for (const core::expr_ptr& expr : exprs) set.add(expr);
+  const core::compiled_layout first = set.compile();
+  EXPECT_EQ(first.engines_built, first.engines.size());
+
+  set.remove(set.ids()[1]);
+  const core::compiled_layout::engine_pool pool = first.clone_pool();
+  const core::compiled_layout removed = set.compile({}, &pool);
+  EXPECT_EQ(removed.engines_built, 0u);
+  EXPECT_EQ(removed.engine_keys, set.compile().engine_keys);
+
+  set.add(core::conj({exprs[0], exprs[2]}));
+  const core::compiled_layout::engine_pool next = removed.clone_pool();
+  EXPECT_EQ(set.compile({}, &next).engines_built, 0u);
+
+  // Down to one query: the single-query compile reuses the pool too.
+  core::query_set one;
+  one.add(exprs[3]);
+  EXPECT_EQ(one.compile({}, &next).engines_built, 0u);
+
+  // Only a primitive no resident query has compiles fresh.
+  set.add(core::string_leaf("no-such-attribute", 2));
+  EXPECT_EQ(set.compile({}, &next).engines_built, 1u);
+}
+
+TEST(QuerySet, ReusedEnginesDecideByteIdenticallyEverywhere) {
+  // A compile that clones from the previous epoch's pool must decide
+  // exactly what a fresh compile decides, across riotbench x datasets x
+  // SIMD tiers, for the multi-query trie and the single-query layout.
+  const auto exprs = riotbench_exprs();
+  const auto streams = evaluation_streams(120);
+  for (const core::simd::simd_level level : core::simd::available_levels()) {
+    core::filter_options options;
+    options.simd = level;
+    core::query_set before;
+    before.add(exprs[0]);
+    before.add(exprs[2]);
+    const core::compiled_layout::engine_pool pool =
+        before.compile(level).clone_pool();
+
+    core::query_set fleet;
+    for (const core::expr_ptr& expr : exprs) fleet.add(expr);
+    core::query_set alone;
+    alone.add(exprs[2]);
+    for (const core::query_set* set : {&fleet, &alone}) {
+      core::compiled_layout layout = set->compile(level, &pool);
+      EXPECT_LT(layout.engines_built, layout.engines.size());
+      auto reused = core::make_chunked_engine(set->queries(),
+                                              std::move(layout), options);
+      auto fresh = set->make_engine(core::engine_kind::chunked, options);
+      for (const std::string& stream : streams) {
+        ASSERT_EQ(reused->filter_stream(stream), fresh->filter_stream(stream))
+            << "queries " << set->size()
+            << " simd=" << core::simd::to_string(level);
+        ASSERT_EQ(reused->decision_words(), fresh->decision_words());
+        reused->clear_decisions();
+        fresh->clear_decisions();
+      }
+    }
+  }
+}
+
 TEST(QuerySet, SingleQueryByteIdenticalToStandaloneEverywhere) {
   // The N=1 acceptance gate: a one-query set IS the pre-multi-tenant
   // engine, byte for byte, across riotbench x datasets x SIMD tiers and

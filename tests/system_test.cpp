@@ -91,10 +91,9 @@ TEST(FilterSystem, BlankLineHeavyStreamDoesNotUnderflowStalls) {
   // accounting must clamp at zero instead of wrapping the unsigned math.
   // (The facade's record router drops blank lines before any lane counts
   // them, so only a direct model call reaches the clamp.)
-  system_options options;
-  options.lanes = 7;
   const std::uint64_t bytes = 8 + 50000;  // one record + 50000 blank lines
-  const throughput_report report = model_report(options, bytes, 1, 1, 8);
+  const throughput_report report =
+      model_report(system_options{}, 7, bytes, 1, 1, 8);
   EXPECT_EQ(report.records, 1u);
   EXPECT_LE(report.stall_cycles, report.cycles);
   EXPECT_EQ(report.stall_cycles, 0u);
