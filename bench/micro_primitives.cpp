@@ -10,7 +10,9 @@
 #include "core/expr.hpp"
 #include "core/filter_engine.hpp"
 #include "core/raw_filter.hpp"
+#include "core/simd.hpp"
 #include "data/smartcity.hpp"
+#include "data/taxi.hpp"
 #include "query/compile.hpp"
 #include "query/riotbench.hpp"
 #include "rtl/simulator.hpp"
@@ -95,6 +97,30 @@ void BM_ChunkedComposedQs0(benchmark::State& state) {
   run_chunked(state, query::compile_default(query::riotbench::qs0()));
 }
 BENCHMARK(BM_ChunkedComposedQs0);
+
+// Token-run verdicts of the chunked engine: one walk of QT's fused token
+// automaton per maximal numeric-token run of a taxi buffer, yielding every
+// value engine's pulse at once.
+void BM_TokenRunMasks(benchmark::State& state) {
+  static const std::string taxi = data::taxi_generator().stream(2000);
+  const auto* bytes = reinterpret_cast<const unsigned char*>(taxi.data());
+  std::vector<core::simd::token_run> runs;
+  core::simd::token_runs(bytes, taxi.size(), core::simd::active_level(), runs);
+  const core::compiled_layout layout = core::compiled_layout::compile(
+      *query::compile_default(query::riotbench::qt()));
+  const core::token_automata& automata = *layout.automata;
+  for (auto _ : state) {
+    std::uint64_t any = 0;
+    for (const core::simd::token_run& run : runs)
+      any |= automata.run_mask(bytes + run.begin, run.end - run.begin);
+    benchmark::DoNotOptimize(any);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(runs.size()));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(taxi.size()));
+}
+BENCHMARK(BM_TokenRunMasks);
 
 void BM_RtlCycleAccurate(benchmark::State& state) {
   // One full composed filter, executed gate by gate per byte.

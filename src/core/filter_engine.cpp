@@ -1,7 +1,6 @@
 #include "core/filter_engine.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <unordered_map>
 
 #include "core/bitmaps.hpp"
@@ -74,6 +73,7 @@ compiled_layout compiled_layout::compile(const filter_expr& root,
   layout.roots.push_back(visit(root, visit));
   layout.engine_subscribers.assign(layout.engines.size(),
                                    std::vector<std::size_t>{0});
+  layout.automata = build_token_automata(layout.engines);
   return layout;
 }
 
@@ -139,6 +139,7 @@ compiled_layout compiled_layout::compile_set(std::span<const expr_ptr> queries,
     layout.roots.push_back(visit(*queries[q], visit));
   }
   build_trie(layout);
+  layout.automata = build_token_automata(layout.engines);
   return layout;
 }
 
@@ -294,6 +295,7 @@ compiled_layout compiled_layout::clone() const {
   copy.engine_subscribers = engine_subscribers;
   copy.trie = trie;
   copy.trie_roots = trie_roots;
+  copy.automata = automata;
   copy.engines_built = engines_built;
   return copy;
 }
@@ -723,43 +725,38 @@ class chunked_filter_engine final : public filter_engine {
       : filter_engine(other.queries_, other.options_),
         level_(other.level_),
         layout_(other.layout_.clone()),
+        automata_(layout_.automata.get()),
         max_depth_(other.max_depth_),
         multi_(other.multi_),
-        run_capable_(other.run_capable_),
-        run_slot_(other.run_slot_),
         fire_cursor_(other.fire_cursor_.size()),
         fire_lists_(other.fire_lists_.size()),
-        has_run_capable_(other.has_run_capable_),
         engine_words_(other.engine_words_),
         fired_words_(other.fired_words_.size(), 0),
         group_epoch_(other.group_epoch_.size(), 0),
-        group_val_(other.group_val_.size(), 0),
-        memo_(other.memo_) {}  // a warm memo carries over: pure function
+        group_val_(other.group_val_.size(), 0) {}
 
   void init() {
+    if (!layout_.automata)
+      throw error("chunked filter: layout compiled without token automata");
+    automata_ = layout_.automata.get();
     multi_ = layout_.query_count() > 1;
     std::size_t max_members = 0;
     for (const compiled_layout::group_info& g : layout_.groups)
       max_members = std::max(max_members, g.members.size());
     fire_cursor_.resize(max_members);
     fire_lists_.resize(max_members);
-    run_capable_.reserve(layout_.engines.size());
-    run_slot_.reserve(layout_.engines.size());
-    std::size_t slots = 0;
-    for (const auto& engine : layout_.engines) {
-      // Engines past the 64-bit verdict mask fall back to the generic
-      // bulk paths (a query would need >64 value primitives to get there).
-      const bool capable = engine->supports_token_runs() && slots < 64;
-      run_capable_.push_back(capable ? 1 : 0);
-      run_slot_.push_back(capable ? slots++ : 0);
-      if (capable) has_run_capable_ = true;
-    }
     if (multi_) {
       engine_words_ = (layout_.engines.size() + 63) / 64;
       fired_words_.assign(engine_words_, 0);
       group_epoch_.assign(layout_.groups.size(), 0);
       group_val_.assign(layout_.groups.size(), 0);
     }
+  }
+
+  /// Run-slot bit of engine e in the token-run verdict masks, or 0 when
+  /// the engine takes the per-engine bulk paths (see token_automata).
+  std::uint64_t run_bit(std::size_t e) const {
+    return automata_->engine_bit[e];
   }
 
   /// Append one zeroed bitmap row to decision_words_ and return its
@@ -816,12 +813,12 @@ class chunked_filter_engine final : public filter_engine {
     // the trie nodes whose required engines all fired, not O(resident
     // queries).
     std::fill(fired_words_.begin(), fired_words_.end(), 0);
-    if (has_run_capable_) ensure_run_verdicts(record);
+    if (!automata_->automata.empty()) ensure_run_verdicts(record);
     for (std::size_t e = 0; e < layout_.engines.size(); ++e) {
+      const std::uint64_t bit = run_bit(e);
       const bool fired =
-          run_capable_[e]
-              ? ((any_mask_ >> run_slot_[e]) & 1) != 0
-              : layout_.engines[e]->fires_in(record, options_.separator);
+          bit != 0 ? (any_mask_ & bit) != 0
+                   : layout_.engines[e]->fires_in(record, options_.separator);
       if (fired) fired_words_[e / 64] |= std::uint64_t{1} << (e % 64);
     }
     bool any = false;
@@ -863,9 +860,9 @@ class chunked_filter_engine final : public filter_engine {
         // is exactly "did the engine pulse in record+separator".
         if (multi_)
           return (fired_words_[node.index / 64] >> (node.index % 64)) & 1;
-        if (run_capable_[node.index]) {
+        if (const std::uint64_t bit = run_bit(node.index)) {
           ensure_run_verdicts(record);
-          return (any_mask_ >> run_slot_[node.index]) & 1;
+          return (any_mask_ & bit) != 0;
         }
         return layout_.engines[node.index]->fires_in(record,
                                                      options_.separator);
@@ -978,116 +975,26 @@ class chunked_filter_engine final : public filter_engine {
     runs_ready_ = true;
   }
 
-  /// Verdict mask of one token run: bit run_slot_[e] set iff engine e
-  /// pulses at the run's end. Pure function of the run's bytes (the
-  /// end-of-stream edge is handled by the caller).
-  std::uint64_t compute_run_mask(std::span<const unsigned char> record,
-                                 const simd::token_run& run) {
-    std::uint64_t mask = 0;
-    for (std::size_t e = 0; e < layout_.engines.size(); ++e) {
-      if (!run_capable_[e]) continue;
-      if (layout_.engines[e]->fires_in_any_run(record, options_.separator,
-                                               {&run, 1}))
-        mask |= std::uint64_t{1} << run_slot_[e];
-    }
-    return mask;
-  }
-
-  /// Verdict masks for every token run of the record, memoized across
-  /// records: a run-capable engine's pulse is a pure function of the run's
-  /// bytes, and data streams repeat the same numerals constantly, so one
-  /// DFA walk per distinct numeral (per engine) serves the whole stream.
-  /// The memo is 2-way set-associative with the bytes themselves as the
-  /// tag; a double collision just recomputes.
+  /// Verdict masks for every token run of the record: one walk of the
+  /// layout's fused token automata per run gives every run-capable
+  /// engine's pulse at the run's end at once.
   void ensure_run_verdicts(std::span<const unsigned char> record) {
     if (verdicts_ready_) return;
     ensure_token_runs(record);
-    const std::size_t n = runs_.size();
     run_masks_.clear();
     any_mask_ = 0;
-    probes_.resize(n);
     const bool token_separator = numrange::is_token_byte(options_.separator);
-    // Pass 1: pack every run's key and prefetch its memo set, so the
-    // probe pass below finds the slots already in flight instead of
-    // stalling on one dependent cache miss per run.
-    for (std::size_t i = 0; i < n; ++i) {
-      const simd::token_run& run = runs_[i];
-      memo_probe& p = probes_[i];
-      if (run.end == record.size() && token_separator) {
-        // The stream ends mid-token: the run is never sampled, no engine
-        // pulses - and the verdict is position-dependent, so no memo.
-        p.kind = memo_probe::edge;
-        continue;
-      }
-      const std::size_t len = run.end - run.begin;
-      if (len > numeral_memo::kMaxLen) {
-        p.kind = memo_probe::oversize;
-        continue;
-      }
-      // Pack the numeral into two words, zero-padded past `len`. The wide
-      // loads are safe whenever 16 bytes exist after run.begin; near the
-      // record end a zeroed bounce buffer keeps the key identical.
-      std::uint64_t key0, key1;
-      if (run.begin + 16 <= record.size()) {
-        std::memcpy(&key0, record.data() + run.begin, 8);
-        std::memcpy(&key1, record.data() + run.begin + 8, 8);
-        if (len < 8) {
-          key0 &= (std::uint64_t{1} << (8 * len)) - 1;
-          key1 = 0;
-        } else if (len < 16) {
-          key1 &= len == 8 ? 0 : (std::uint64_t{1} << (8 * (len - 8))) - 1;
-        }
-      } else {
-        unsigned char buf[16] = {};
-        std::memcpy(buf, record.data() + run.begin, len);
-        std::memcpy(&key0, buf, 8);
-        std::memcpy(&key1, buf + 8, 8);
-      }
-      const std::uint64_t h =
-          (key0 ^ (key1 * 0x9E3779B97F4A7C15ull) ^ len) * 0x2545F4914F6CDD1Dull;
-      p.kind = memo_probe::keyed;
-      p.key0 = key0;
-      p.key1 = key1;
-      p.len = static_cast<std::uint8_t>(len);
-      p.set = static_cast<std::uint32_t>((h >> 48) & ~std::uint64_t{1});
-      __builtin_prefetch(&memo_.slots[p.set]);
-      __builtin_prefetch(&memo_.slots[p.set + 1]);
-    }
-    // Pass 2: probe. 2-way set: two colliding numerals that both recur
-    // (the common case on replicated streams) coexist instead of evicting
-    // each other every record. The MRU entry sits first; a hit in the
-    // second way swaps it forward, a miss evicts the LRU (second) way.
-    for (std::size_t i = 0; i < n; ++i) {
-      const memo_probe& p = probes_[i];
-      if (p.kind == memo_probe::edge) {
-        run_masks_.push_back(0);
-        continue;
-      }
-      if (p.kind == memo_probe::oversize) {
-        run_masks_.push_back(compute_run_mask(record, runs_[i]));
-        continue;
-      }
-      numeral_memo::entry* way = &memo_.slots[p.set];
-      if (way[0].len == p.len && way[0].key0 == p.key0 &&
-          way[0].key1 == p.key1) {
-        run_masks_.push_back(way[0].mask);
-        continue;
-      }
-      if (way[1].len == p.len && way[1].key0 == p.key0 &&
-          way[1].key1 == p.key1) {
-        std::swap(way[0], way[1]);
-        run_masks_.push_back(way[0].mask);
-        continue;
-      }
-      const std::uint64_t mask = compute_run_mask(record, runs_[i]);
-      way[1] = way[0];
-      way[0].key0 = p.key0;
-      way[0].key1 = p.key1;
-      way[0].len = p.len;
-      way[0].mask = mask;
+    for (const simd::token_run& run : runs_) {
+      // A run that ends the stream under a token-class separator is never
+      // sampled: the stream ends mid-token and no engine pulses.
+      const std::uint64_t mask =
+          run.end == record.size() && token_separator
+              ? 0
+              : automata_->run_mask(record.data() + run.begin,
+                                    run.end - run.begin);
       run_masks_.push_back(mask);
+      any_mask_ |= mask;
     }
-    for (const std::uint64_t mask : run_masks_) any_mask_ |= mask;
     verdicts_ready_ = true;
   }
 
@@ -1105,11 +1012,11 @@ class chunked_filter_engine final : public filter_engine {
   bool pair_group_fires(const compiled_layout::group_info& info,
                         std::span<const unsigned char> record) {
     const std::size_t members = info.members.size();
-    bool any_run_members = false;
-    std::size_t anchor = members;  // first non-run member, streamed
+    std::uint64_t run_members = 0;  // run-slot bits of run-capable members
+    std::size_t anchor = members;   // first non-run member, streamed
     for (std::size_t m = 0; m < members; ++m) {
-      if (run_capable_[info.members[m]]) {
-        any_run_members = true;
+      if (const std::uint64_t bit = run_bit(info.members[m])) {
+        run_members |= bit;
         continue;
       }
       if (anchor == members) {
@@ -1122,12 +1029,10 @@ class chunked_filter_engine final : public filter_engine {
       // A member that never pulses can never be latched at a sample.
       if (fire_lists_[m].empty()) return false;
     }
-    if (any_run_members) {
+    if (run_members != 0) {
       ensure_run_verdicts(record);
-      for (std::size_t m = 0; m < members; ++m)
-        if (run_capable_[info.members[m]] &&
-            !((any_mask_ >> run_slot_[info.members[m]]) & 1))
-          return false;  // member never pulses anywhere in the record
+      // A run member that never pulses anywhere in the record.
+      if ((any_mask_ & run_members) != run_members) return false;
     }
     ensure_pair_bounds(record);
 
@@ -1142,10 +1047,7 @@ class chunked_filter_engine final : public filter_engine {
         std::uint64_t seg_mask = 0;
         while (run_lo < runs_.size() && runs_[run_lo].end <= bound)
           seg_mask |= run_masks_[run_lo++];
-        bool all = true;
-        for (std::size_t m = 0; m < members && all; ++m)
-          all = (seg_mask >> run_slot_[info.members[m]]) & 1;
-        return all;
+        return (seg_mask & run_members) == run_members;
       };
       for (const std::uint32_t bound : pair_bounds_)
         if (segment_fires(bound)) return true;
@@ -1166,23 +1068,21 @@ class chunked_filter_engine final : public filter_engine {
               : static_cast<std::uint32_t>(record.size());
       const std::uint32_t low = seg > 0 ? pair_bounds_[seg - 1] + 1 : 0;
       for (std::size_t m = 0; m < members; ++m) {
-        if (m == anchor || run_capable_[info.members[m]]) continue;
+        if (m == anchor || run_bit(info.members[m]) != 0) continue;
         const std::vector<std::uint32_t>& list = fire_lists_[m];
         std::size_t& cursor = fire_cursor_[m];
         while (cursor < list.size() && list[cursor] < low) ++cursor;
         if (cursor == list.size() || list[cursor] > bound)
           return true;  // member silent in this segment; keep scanning
       }
-      if (any_run_members) {
+      if (run_members != 0) {
         while (run_lo < runs_.size() && runs_[run_lo].end < low) ++run_lo;
         std::uint64_t seg_mask = 0;
         for (std::size_t r = run_lo;
              r < runs_.size() && runs_[r].end <= bound; ++r)
           seg_mask |= run_masks_[r];
-        for (std::size_t m = 0; m < members; ++m)
-          if (run_capable_[info.members[m]] &&
-              !((seg_mask >> run_slot_[info.members[m]]) & 1))
-            return true;  // keep scanning
+        if ((seg_mask & run_members) != run_members)
+          return true;  // keep scanning
       }
       found = true;
       return false;  // stop the scan: the latch is sticky
@@ -1208,15 +1108,12 @@ class chunked_filter_engine final : public filter_engine {
     // members answer from one bit of the record-wide verdict union -
     // testing them before any string scan rejects most non-matching
     // records without touching the record bytes again.
-    bool any_run_members = false;
+    std::uint64_t run_members = 0;
     for (std::size_t m = 0; m < members; ++m)
-      if (run_capable_[info.members[m]]) any_run_members = true;
-    if (any_run_members) {
+      run_members |= run_bit(info.members[m]);
+    if (run_members != 0) {
       ensure_run_verdicts(record);
-      for (std::size_t m = 0; m < members; ++m)
-        if (run_capable_[info.members[m]] &&
-            !((any_mask_ >> run_slot_[info.members[m]]) & 1))
-          return false;
+      if ((any_mask_ & run_members) != run_members) return false;
     }
     // First-window fast path. The replay below arms at p = min over
     // members of the FIRST pulse, so every member's first pulse is inside
@@ -1231,9 +1128,7 @@ class chunked_filter_engine final : public filter_engine {
     std::uint32_t first_max = 0;
     for (std::size_t m = 0; m < members; ++m) {
       std::uint32_t first = no_fire;
-      if (run_capable_[info.members[m]]) {
-        const std::uint64_t bit = std::uint64_t{1}
-                                  << run_slot_[info.members[m]];
+      if (const std::uint64_t bit = run_bit(info.members[m])) {
         for (std::size_t r = 0; r < runs_.size(); ++r)
           if (run_masks_[r] & bit) {
             first = runs_[r].end;
@@ -1275,15 +1170,14 @@ class chunked_filter_engine final : public filter_engine {
     // the general replay (the minority path).
     for (std::size_t m = 0; m < members; ++m) {
       fire_lists_[m].clear();
-      if (run_capable_[info.members[m]]) continue;
+      if (run_bit(info.members[m]) != 0) continue;
       layout_.engines[info.members[m]]->fire_positions(
           record, options_.separator, fire_lists_[m]);
     }
     // Only now materialise the run members' pulse lists off the masks.
     for (std::size_t m = 0; m < members; ++m) {
-      if (!run_capable_[info.members[m]]) continue;
-      fire_lists_[m].clear();
-      const std::uint64_t bit = std::uint64_t{1} << run_slot_[info.members[m]];
+      const std::uint64_t bit = run_bit(info.members[m]);
+      if (bit == 0) continue;
       for (std::size_t r = 0; r < runs_.size(); ++r)
         if (run_masks_[r] & bit) fire_lists_[m].push_back(runs_[r].end);
     }
@@ -1347,40 +1241,11 @@ class chunked_filter_engine final : public filter_engine {
     }
   }
 
-  /// Cross-record memo of token-run verdict masks (see
-  /// ensure_run_verdicts). 2-way set-associative (adjacent slot pairs,
-  /// MRU first); the tag is the numeral itself, packed little-endian into
-  /// two words so probe and compare are a pair of integer compares
-  /// instead of a byte loop. Numerals longer than 16 bytes skip the memo
-  /// (vanishingly rare in real streams).
-  struct numeral_memo {
-    static constexpr std::size_t kSlots = 65536;  // power of two
-    static constexpr std::size_t kMaxLen = 16;
-    struct entry {
-      std::uint64_t key0 = 0;
-      std::uint64_t key1 = 0;
-      std::uint8_t len = 0;  // 0 = empty slot (runs are never empty)
-      std::uint64_t mask = 0;
-    };
-    std::vector<entry> slots = std::vector<entry>(kSlots);
-  };
-
-  /// Per-run key/slot scratch of ensure_run_verdicts' prefetch pass.
-  struct memo_probe {
-    enum probe_kind : std::uint8_t { edge, oversize, keyed };
-    std::uint64_t key0 = 0;
-    std::uint64_t key1 = 0;
-    std::uint32_t set = 0;
-    std::uint8_t len = 0;
-    probe_kind kind = edge;
-  };
-
   simd::simd_level level_;               // resolved vector tier
   compiled_layout layout_;
+  const token_automata* automata_ = nullptr;  // layout_.automata
   int max_depth_;                        // saturation bound (depth_bits)
   bool multi_ = false;                   // query_count() > 1
-  std::vector<char> run_capable_;        // engine order: token-run bulk path
-  std::vector<std::size_t> run_slot_;    // engine order: verdict-mask bit
 
   // Framing state (persists across scan_chunk calls).
   framing_state state_;
@@ -1420,7 +1285,6 @@ class chunked_filter_engine final : public filter_engine {
   std::vector<struct_event> events_;
   std::vector<std::uint32_t> pair_bounds_;   // ',' '}' ']' positions
   std::vector<simd::token_run> runs_;        // shared token segmentation
-  std::vector<memo_probe> probes_;           // per run: key + memo set
   std::vector<std::uint64_t> run_masks_;     // per run: engine verdict bits
   std::uint64_t any_mask_ = 0;               // union of run_masks_
   structure_state separator_st_;
@@ -1433,14 +1297,11 @@ class chunked_filter_engine final : public filter_engine {
   // (a dedup'd group replays once per record, every subscribing plan reads
   // the cached outcome); record_epoch_ pre-increments so a fresh engine's
   // zero stamps never hit.
-  bool has_run_capable_ = false;
   std::size_t engine_words_ = 0;            // ceil(engines / 64)
   std::vector<std::uint64_t> fired_words_;  // per-record engine-fire bitmap
   std::uint64_t record_epoch_ = 0;
   std::vector<std::uint64_t> group_epoch_;  // group order
   std::vector<char> group_val_;             // group order
-
-  numeral_memo memo_;  // persists across records and chunks
 };
 
 }  // namespace

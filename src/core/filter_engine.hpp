@@ -47,6 +47,7 @@
 #include "core/expr.hpp"
 #include "core/primitive.hpp"
 #include "core/simd.hpp"
+#include "core/token_automaton.hpp"
 
 namespace jrf::core {
 
@@ -127,6 +128,11 @@ struct compiled_layout {
   /// single-query layouts). trie_roots indexes the first-level nodes.
   std::vector<trie_node> trie;
   std::vector<std::size_t> trie_roots;
+
+  /// Every run-capable value engine fused into product DFAs over the
+  /// token bytes (build_token_automata), plus each engine's run-slot bit.
+  /// Built by compile() and compile_set(); clone() shares it.
+  std::shared_ptr<const token_automata> automata;
 
   /// Engines this compile built with make_engine; the rest were cloned
   /// from the reuse pool. An epoch swap whose primitives are all resident

@@ -90,18 +90,6 @@ void primitive_engine::scan_fires(std::span<const unsigned char> record,
     if (!sink(ctx, pos)) return;
 }
 
-void primitive_engine::fire_positions_over_runs(
-    std::span<const unsigned char>, unsigned char,
-    std::span<const simd::token_run>, std::vector<std::uint32_t>&) {
-  throw error("primitive engine: token-run bulk path not supported");
-}
-
-bool primitive_engine::fires_in_any_run(std::span<const unsigned char>,
-                                        unsigned char,
-                                        std::span<const simd::token_run>) {
-  throw error("primitive engine: token-run bulk path not supported");
-}
-
 namespace {
 
 void validate_search_string(const string_spec& spec) {
@@ -605,29 +593,11 @@ class value_engine final : public primitive_engine {
     });
   }
 
-  // Token-run bulk path. With a non-accepting start state a pulse can only
-  // occur on the first non-token byte after a maximal token run whose DFA
-  // walk ends accepting, so walking precomputed runs reproduces scan()
-  // exactly; an accepting start state would also pulse on every non-token
-  // byte, which runs alone cannot express, hence the guard.
-  bool supports_token_runs() const override {
-    return !compiled_->start_accepting;
-  }
-
-  void fire_positions_over_runs(std::span<const unsigned char> record,
-                                unsigned char terminator,
-                                std::span<const simd::token_run> runs,
-                                std::vector<std::uint32_t>& out) override {
-    for (const simd::token_run& run : runs)
-      if (run_accepts(record, terminator, run)) out.push_back(run.end);
-  }
-
-  bool fires_in_any_run(std::span<const unsigned char> record,
-                        unsigned char terminator,
-                        std::span<const simd::token_run> runs) override {
-    for (const simd::token_run& run : runs)
-      if (run_accepts(record, terminator, run)) return true;
-    return false;
+  // With a non-accepting start state a pulse can only occur on the first
+  // non-token byte after a maximal token run whose DFA walk ends
+  // accepting, so the run walk reproduces scan() exactly.
+  const regex::dfa* token_dfa() const override {
+    return compiled_->start_accepting ? nullptr : &compiled_->dfa;
   }
 
   elaborated_primitive elaborate(network& net, const bus& byte,
@@ -720,24 +690,6 @@ class value_engine final : public primitive_engine {
         i = next_token(i);
       }
     }
-  }
-
-  /// DFA walk of one maximal token run; true iff the pulse scan() would
-  /// emit at run.end occurs. A run that reaches record.size() with a
-  /// token-class terminator never samples (the stream ends mid-token).
-  bool run_accepts(std::span<const unsigned char> record,
-                   unsigned char terminator,
-                   const simd::token_run& run) const {
-    const regex::dfa& dfa = compiled_->dfa;
-    int state = dfa.start();
-    for (std::uint32_t i = run.begin; i < run.end; ++i) {
-      if (compiled_->dead[static_cast<std::size_t>(state)]) return false;
-      state = dfa.step(state, record[i]);
-    }
-    if (run.end == record.size() &&
-        numrange::is_token_byte(terminator))
-      return false;
-    return dfa.accepting(state);
   }
 
   value_spec spec_;

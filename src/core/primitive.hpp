@@ -132,27 +132,16 @@ class primitive_engine {
   virtual void scan_fires(std::span<const unsigned char> record,
                           unsigned char terminator, fire_sink sink, void* ctx);
 
-  /// True when this engine's pulses are a pure function of the maximal
-  /// numeric-token runs of the record (simd::token_runs), letting one
-  /// shared segmentation replace the engine's own boundary scans. Value
-  /// engines whose DFA rejects the empty token qualify; everything else
-  /// answers false and the run-based bulk paths below must not be called.
-  virtual bool supports_token_runs() const { return false; }
-
-  /// Run-based fire_positions: identical pulses, but the caller supplies
-  /// the record's maximal token runs. Precondition: supports_token_runs()
-  /// and `runs` == simd::token_runs(record).
-  virtual void fire_positions_over_runs(std::span<const unsigned char> record,
-                                        unsigned char terminator,
-                                        std::span<const simd::token_run> runs,
-                                        std::vector<std::uint32_t>& out);
-
-  /// True when at least one pulse occurs whose position falls at the end
-  /// of one of `runs` (any subrange of the record's maximal token runs).
-  /// Same precondition as fire_positions_over_runs.
-  virtual bool fires_in_any_run(std::span<const unsigned char> record,
-                                unsigned char terminator,
-                                std::span<const simd::token_run> runs);
+  /// Token DFA of a value engine whose pulses are a pure function of the
+  /// record's maximal numeric-token runs (simd::token_runs): the engine
+  /// pulses on the byte after a run iff this DFA, walked from its start
+  /// state over the run's bytes, ends accepting (a run that ends the
+  /// stream under a token-class terminator never samples). nullptr for
+  /// every other engine, including value engines whose DFA accepts the
+  /// empty token: they would also pulse on every non-token byte, which
+  /// runs alone cannot express. The DFA is shared with the engine's
+  /// clones and stays valid while any of them lives.
+  virtual const regex::dfa* token_dfa() const { return nullptr; }
 
   /// Elaborate into the network. `byte` is the stream input; `record_reset`
   /// is a combinational line that is high on record-boundary bytes. The
